@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 from .analytics import (
@@ -27,6 +26,7 @@ from .ingest import (
     AuthorSummaryRow,
     Config,
     ConfigError,
+    MAX_PRECISION,
     ParseError,
     load_config,
     parse_author_summaries,
@@ -58,17 +58,10 @@ _METRIC_COLUMNS = (
 )
 
 
-@dataclass
-class CommandOutcome:
-    """Exit code plus the diagnostics that justify it (empty on success)."""
-
-    exit_code: int = 0
-    diagnostics: list[str] = field(default_factory=list)
-
-
 class _Fail(Exception):
     def __init__(self, exit_code: int, messages: list[str]):
-        self.outcome = CommandOutcome(exit_code, messages)
+        self.exit_code = exit_code
+        self.messages = messages
         super().__init__("; ".join(messages))
 
 
@@ -78,6 +71,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _Fail(2, [f"cannot read {path}: {exc.strerror or exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise _Fail(2, [f"cannot read {path}: {exc}"]) from None
 
 
 def fmt_value(value, precision: int) -> str:
@@ -130,6 +125,8 @@ def _load_settings(args) -> tuple[Config, int]:
         except ConfigError as exc:
             raise _Fail(1, [str(exc)]) from None
     precision = args.precision if args.precision is not None else config.precision
+    if not 0 <= precision <= MAX_PRECISION:
+        raise _Fail(2, [f"--precision must be in 0..{MAX_PRECISION}, got {precision}"])
     return config, precision
 
 
@@ -156,7 +153,7 @@ def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
             raise _Fail(1, [str(exc)]) from None
     else:
         bundle = _parse_corpus(args.corpus)
-        authors = sorted({a for p in bundle.publications for a in p.authors})
+        authors = sorted(bundle.publications_by_author)
         metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
     if getattr(args, "author", None):
         metrics = [m for m in metrics if m.author == args.author]
@@ -183,24 +180,24 @@ def _metric_row(m: AuthorMetrics, precision: int) -> list[str]:
     ]
 
 
-def cmd_validate(args) -> tuple[CommandOutcome, str]:
+def cmd_validate(args) -> str:
     bundle = _parse_corpus(args.corpus)
-    return CommandOutcome(), (
+    return (
         f"ok: {len(bundle.publications)} publications, "
         f"{len(bundle.citations)} citations\n"
     )
 
 
-def cmd_metrics(args) -> tuple[CommandOutcome, str]:
+def cmd_metrics(args) -> str:
     config, precision = _load_settings(args)
     if args.format == "plotdata":
         raise _Fail(2, ["metrics does not support --format plotdata"])
     metrics = _collect_metrics(args, config.filters)
     rows = [_metric_row(m, precision) for m in metrics]
-    return CommandOutcome(), _render(args.format, list(_METRIC_COLUMNS), rows)
+    return _render(args.format, list(_METRIC_COLUMNS), rows)
 
 
-def cmd_rank(args) -> tuple[CommandOutcome, str]:
+def cmd_rank(args) -> str:
     config, precision = _load_settings(args)
     metrics = _collect_metrics(args, config.filters)
     table = rank_authors(metrics, args.key)
@@ -209,7 +206,7 @@ def cmd_rank(args) -> tuple[CommandOutcome, str]:
             (args.key, str(rank), fmt_value(getattr(m, args.key), precision))
             for rank, m in table.rows
         ]
-        return CommandOutcome(), _render_plotdata(series)
+        return _render_plotdata(series)
     header = ["rank", "author", "name", args.key]
     if args.key != "cit_per_doc":
         header.append("cit_per_doc")
@@ -220,10 +217,10 @@ def cmd_rank(args) -> tuple[CommandOutcome, str]:
         if args.key != "cit_per_doc":
             row.append(fmt_value(m.cit_per_doc, precision))
         rows.append(row)
-    return CommandOutcome(), _render(args.format, header, rows)
+    return _render(args.format, header, rows)
 
 
-def cmd_correlate(args) -> tuple[CommandOutcome, str]:
+def cmd_correlate(args) -> str:
     _, precision = _load_settings(args)
     rows = _parse_summary(args.summary)
     extractors = {}
@@ -258,13 +255,13 @@ def cmd_correlate(args) -> tuple[CommandOutcome, str]:
              fmt_value(slope * x + intercept, precision))
             for x in sorted(set(xs))
         )
-        return CommandOutcome(), _render_plotdata(series)
+        return _render_plotdata(series)
     header = ["x", "y", "n", "r"]
     row = [args.x, args.y, str(len(pairs)), fmt_value(r, max(precision, 4))]
-    return CommandOutcome(), _render(args.format, header, [row])
+    return _render(args.format, header, [row])
 
 
-def cmd_yearly(args) -> tuple[CommandOutcome, str]:
+def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
     bundle = _parse_corpus(args.corpus)
     summary = yearly_summary(bundle)
@@ -277,13 +274,13 @@ def cmd_yearly(args) -> tuple[CommandOutcome, str]:
                     (column, str(row.year),
                      fmt_value(getattr(row, column), precision))
                 )
-        return CommandOutcome(), _render_plotdata(series)
+        return _render_plotdata(series)
     rows = [
         [str(r.year), str(r.doc), str(r.cited_doc), str(r.cit),
          str(r.self_cit), fmt_value(r.cit_per_doc, precision)]
         for r in summary
     ]
-    return CommandOutcome(), _render(args.format, header, rows)
+    return _render(args.format, header, rows)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -352,22 +349,21 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        outcome, output = args.func(args)
+        output = args.func(args)
     except _Fail as exc:
-        outcome, output = exc.outcome, ""
-    for message in outcome.diagnostics:
-        print(message, file=sys.stderr)
-    if output:
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                    handle.write(output)
-            except OSError as exc:
-                print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-                return 2
-        else:
-            sys.stdout.write(output)
-    return outcome.exit_code
+        for message in exc.messages:
+            print(message, file=sys.stderr)
+        return exc.exit_code
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(output)
+    return 0
 
 
 if __name__ == "__main__":

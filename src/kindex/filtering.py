@@ -25,7 +25,7 @@ does):
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .model import AuthorId, CorpusBundle, NoPublicationsError
+from .model import AuthorId, CorpusBundle
 
 RULE_INDEXED = "indexed"
 RULE_FLAGGED = "flagged"
@@ -83,17 +83,11 @@ def close_associates(author: AuthorId, corpus: CorpusBundle) -> frozenset[str]:
     institution strings. The author themself is not included."""
     coauthors: set[str] = set()
     institutions: set[str] = set()
-    found = False
-    for pub in corpus.publications:
-        if author not in pub.authors:
-            continue
-        found = True
+    for pub in corpus.authored(author):
         coauthors.update(a for a in pub.authors if a != author)
         inst = pub.institution_by_author.get(author)
         if inst:
             institutions.add(inst)
-    if not found:
-        raise NoPublicationsError(f"author {author!r} has no publications in corpus")
     return frozenset(coauthors | institutions)
 
 
@@ -107,11 +101,7 @@ def filter_citations(
     which keeps them visible to H-index computation).
     """
     by_id = corpus.publications_by_id()
-    own = [p for p in corpus.publications if target_author in p.authors]
-    if not own:
-        raise NoPublicationsError(
-            f"author {target_author!r} has no publications in corpus"
-        )
+    own = corpus.authored(target_author)
     associates = (
         close_associates(target_author, corpus)
         if cfg.exclude_close_associates
@@ -120,11 +110,11 @@ def filter_citations(
 
     audits = {p.pub_id: FilterAudit(cited_pub=p.pub_id) for p in own}
     accepted_pairs: set[tuple[str, str]] = set()
-
-    for link in corpus.citations:
-        audit = audits.get(link.cited_pub)
-        if audit is None:
-            continue
+    # Each rule depends only on a link and its cited publication, so visiting
+    # the links grouped by cited publication gives the audits of a full scan.
+    by_cited = corpus.citations_by_cited
+    for link in (link for pub_id in audits for link in by_cited.get(pub_id, ())):
+        audit = audits[link.cited_pub]
         cited = by_id[link.cited_pub]
         units = link.mention_count
 

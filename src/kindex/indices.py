@@ -19,12 +19,12 @@ commercialization components: K_i = K + K_p + K_c.
 """
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .filtering import FilterConfig, filter_citations
 from .ingest import AuthorSummaryRow
-from .model import AuthorId, CorpusBundle, Role, ROLE_ORDER, build_role_profile
+from .model import AuthorId, CorpusBundle, NoPublicationsError, Role, ROLE_ORDER, build_role_profile
 
 WINNING_ROLES = (Role.FA, Role.CORA, Role.SA)
 LOSING_ROLES = (Role.COA, Role.LA)
@@ -128,6 +128,21 @@ def ringelmann_share(n_coauthors: int) -> float:
     return max(0.0, 100.0 - 7.0 * (n_coauthors - 1))
 
 
+def _author_metrics(
+    author: AuthorId, name: str, doc: int, cit: int, h: int | None,
+    k_r: float | None, fwci: float | None, k_p: float, k_c: float,
+) -> AuthorMetrics:
+    """The indicator bundle from its inputs; K, CIT/DOC and integrated K
+    are derived here."""
+    k_exact, k_display = k_index(k_r, fwci, cit, doc)
+    return AuthorMetrics(
+        author=author, display_name=name, doc=doc, cit=cit,
+        cit_per_doc=cit_per_doc(cit, doc), h_index=h, k_r=k_r, fwci_total=fwci,
+        k_exact=k_exact, k_display=k_display,
+        k_p=k_p, k_c=k_c, k_integrated=integrated_k(k_exact, k_p, k_c),
+    )
+
+
 def compute_author_metrics(
     author: AuthorId,
     corpus: CorpusBundle,
@@ -146,34 +161,18 @@ def compute_author_metrics(
     byline.
     """
     cfg = cfg if cfg is not None else FilterConfig()
-    own = [p for p in corpus.publications if author in p.authors]
-    if not own:
-        raise EmptyPortfolioError(
-            f"author {author!r} has no publications in corpus"
-        )
-    profile = build_role_profile(author, corpus.publications)
+    try:
+        own = corpus.authored(author)
+    except NoPublicationsError as exc:
+        raise EmptyPortfolioError(str(exc)) from None
+    profile = build_role_profile(author, own)
     cit, audits = filter_citations(author, corpus, cfg)
-    per_pub_counts = [a.accepted for a in audits]
-
     alphabetical = all(p.alphabetical_order for p in own)
-    k_r = role_dominance(profile.shares, alphabetical)
-    fwci = fwci_total(profile.role_fwci) if profile.role_fwci else None
-    doc = len(own)
-    k_exact, k_display = k_index(k_r, fwci, cit, doc)
-    return AuthorMetrics(
-        author=author,
-        display_name=display_name if display_name is not None else author,
-        doc=doc,
-        cit=cit,
-        cit_per_doc=cit_per_doc(cit, doc),
-        h_index=h_index(per_pub_counts),
-        k_r=k_r,
-        fwci_total=fwci,
-        k_exact=k_exact,
-        k_display=k_display,
-        k_p=k_p,
-        k_c=k_c,
-        k_integrated=integrated_k(k_exact, k_p, k_c),
+    return _author_metrics(
+        author, display_name if display_name is not None else author,
+        len(own), cit, h_index(a.accepted for a in audits),
+        role_dominance(profile.shares, alphabetical),
+        fwci_total(profile.role_fwci) if profile.role_fwci else None, k_p, k_c,
     )
 
 
@@ -195,30 +194,8 @@ def metrics_from_summary(
         raise EmptyPortfolioError(
             f"summary row for {row.author!r} has no citation count"
         )
-    k_r = role_dominance(row.shares) if row.shares else None
-    fwci = fwci_total(row.role_fwci) if row.role_fwci else None
-    k_exact, k_display = k_index(k_r, fwci, row.cit, row.doc)
-    return AuthorMetrics(
-        author=row.author,
-        display_name=row.display_name,
-        doc=row.doc,
-        cit=row.cit,
-        cit_per_doc=cit_per_doc(row.cit, row.doc),
-        h_index=row.h_index,
-        k_r=k_r,
-        fwci_total=fwci,
-        k_exact=k_exact,
-        k_display=k_display,
-        k_p=k_p,
-        k_c=k_c,
-        k_integrated=integrated_k(k_exact, k_p, k_c),
+    return _author_metrics(
+        row.author, row.display_name, row.doc, row.cit, row.h_index,
+        role_dominance(row.shares) if row.shares else None,
+        fwci_total(row.role_fwci) if row.role_fwci else None, k_p, k_c,
     )
-
-
-def per_publication_citations(
-    author: AuthorId, corpus: CorpusBundle, cfg: FilterConfig | None = None
-) -> Sequence[int]:
-    """Valid citation counts per publication of the author, in corpus order."""
-    cfg = cfg if cfg is not None else FilterConfig()
-    _, audits = filter_citations(author, corpus, cfg)
-    return [a.accepted for a in audits]

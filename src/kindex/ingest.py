@@ -69,6 +69,10 @@ class AuthorSummaryRow:
     role_fwci: dict[Role, float] = field(default_factory=dict)
 
 
+# Largest number of decimal places for output, from a config file or --precision.
+MAX_PRECISION = 12
+
+
 @dataclass(frozen=True)
 class Config:
     """Filter switches plus output options loaded from a config file."""
@@ -468,8 +472,8 @@ def load_config(text: str) -> Config:
                 raise ConfigError(
                     f"line {line_no}: precision must be an integer, got {value!r}"
                 ) from None
-            if not 0 <= precision <= 12:
-                raise ConfigError(f"line {line_no}: precision must be in 0..12")
+            if not 0 <= precision <= MAX_PRECISION:
+                raise ConfigError(f"line {line_no}: precision must be in 0..{MAX_PRECISION}")
         else:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
     return Config(filters=FilterConfig(**rule_values), precision=precision)

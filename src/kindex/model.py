@@ -8,6 +8,7 @@ to evaluate in parallel across authors or publications.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 AuthorId = str
 
@@ -158,13 +159,43 @@ class CorpusBundle:
 
     Every ``cited_pub`` resolves to a publication in the bundle; citing
     documents may be external. ``pub_ids`` are unique.
+
+    The lookup maps below are built once, on first use, and shared by
+    every reader of the bundle; callers must not modify them.
     """
 
     publications: tuple[PublicationRecord, ...]
     citations: tuple[CitationRecord, ...] = ()
 
-    def publications_by_id(self) -> dict[str, PublicationRecord]:
+    @cached_property
+    def _by_id(self) -> dict[str, PublicationRecord]:
         return {p.pub_id: p for p in self.publications}
+
+    @cached_property
+    def publications_by_author(self) -> dict[AuthorId, tuple[PublicationRecord, ...]]:
+        """Each author's publications, in corpus order."""
+        by_author: dict[AuthorId, list[PublicationRecord]] = {}
+        for pub in self.publications:
+            for author in set(pub.authors):  # unvalidated bylines may repeat a name
+                by_author.setdefault(author, []).append(pub)
+        return {author: tuple(pubs) for author, pubs in by_author.items()}
+
+    @cached_property
+    def citations_by_cited(self) -> dict[str, tuple[CitationRecord, ...]]:
+        """Incoming citation links of each cited publication, in corpus order."""
+        by_cited: dict[str, list[CitationRecord]] = {}
+        for link in self.citations:
+            by_cited.setdefault(link.cited_pub, []).append(link)
+        return {pub_id: tuple(links) for pub_id, links in by_cited.items()}
+
+    def publications_by_id(self) -> dict[str, PublicationRecord]:
+        return self._by_id
+
+    def authored(self, author: AuthorId) -> tuple[PublicationRecord, ...]:
+        """The author's publications in corpus order; NoPublicationsError if none."""
+        if author not in self.publications_by_author:
+            raise NoPublicationsError(f"author {author!r} has no publications in corpus")
+        return self.publications_by_author[author]
 
     def validate(self) -> None:
         seen: set[str] = set()

@@ -38,6 +38,23 @@ class TestValidate:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{}"],
+        ["yearly", "{}"],
+        ["metrics", "--summary", "{}"],
+        ["correlate", "{}", "--x", "H", "--y", "FA"],
+        ["metrics", "--summary", KRATING_SUMMARY, "--config", "{}"],
+    ])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("type=pub\tpub_id=p1\tyear=2020\tauthors=G\u00f6del\n"
+                         .encode("latin-1"))
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot read {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestMetrics:
     def test_summary_rows_match_reference_rating(self, capsys):
@@ -238,3 +255,18 @@ class TestPrecision:
         row_wide = out_wide.strip().split("\n")[1].split(",")
         assert row_default[4] == "51.83"
         assert row_wide[4] == "51.8300"
+
+    @pytest.mark.parametrize("precision", ["-3", "13", "1000"])
+    def test_out_of_range_precision_exits_2(self, capsys, precision):
+        code, out, err = run(capsys, "metrics", "--summary", KRATING_SUMMARY,
+                             "--precision", precision)
+        assert code == 2
+        assert out == ""
+        assert err == f"--precision must be in 0..12, got {precision}\n"
+
+    @pytest.mark.parametrize("precision,cell", [("0", "52"), ("12", "51.830000000000")])
+    def test_range_ends_accepted(self, capsys, precision, cell):
+        code, out, _ = run(capsys, "metrics", "--summary", KRATING_SUMMARY,
+                           "--format", "csv", "--precision", precision)
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[4] == cell

@@ -1,16 +1,26 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kindex import (
     CitationRecord,
     CorpusBundle,
+    EmptyPortfolioError,
+    FilterAudit,
     FilterConfig,
     NoPublicationsError,
+    PublicationFlag,
     PublicationRecord,
     audit_export,
+    build_role_profile,
     close_associates,
+    compute_author_metrics,
     filter_citations,
+    fwci_total,
+    h_index,
+    k_index,
+    role_dominance,
 )
 
 # Hand-enumerated ground truth for tests/data/corpus_filter.txt, target
@@ -198,3 +208,145 @@ class TestAuditExport:
 
     def test_empty_audits(self):
         assert audit_export([]) == ""
+
+
+# --- the index-backed functions against full corpus scans -------------------
+
+AUTHORS = ("a", "b", "c", "d")
+INSTITUTIONS = ("Inst A", "Inst B")
+
+
+@st.composite
+def small_bundles(draw) -> CorpusBundle:
+    """A few publications by a small author pool (so authors sit on many
+    publications and institutions are shared), cited by links drawn from a
+    small id pool (so (citing, cited) pairs repeat), with multi-mention,
+    unindexed and flagged in-corpus citing documents."""
+    n_pubs = draw(st.integers(1, 5))
+    pub_ids = [f"p{i}" for i in range(n_pubs)]
+    publications = []
+    for pub_id in pub_ids:
+        byline = draw(st.lists(st.sampled_from(AUTHORS), min_size=1, max_size=4,
+                               unique=True))
+        publications.append(PublicationRecord(
+            pub_id=pub_id,
+            year=2020,
+            authors=tuple(byline),
+            corresponding=frozenset(draw(st.sets(st.sampled_from(byline)))),
+            fwci=draw(st.none() | st.floats(0, 5, allow_nan=False)),
+            alphabetical_order=draw(st.booleans()),
+            flags=frozenset(draw(st.sets(st.sampled_from(PublicationFlag),
+                                         max_size=1))),
+            institution_by_author=draw(st.dictionaries(
+                st.sampled_from(byline), st.sampled_from(INSTITUTIONS))),
+        ))
+    citing_ids = st.sampled_from(pub_ids + ["x0", "x1"])
+    citations = []
+    for _ in range(draw(st.integers(0, 12))):
+        cited = draw(st.sampled_from(pub_ids))
+        citing = draw(citing_ids.filter(lambda c, cited=cited: c != cited))
+        citations.append(CitationRecord(
+            citing_pub=citing,
+            cited_pub=cited,
+            citing_authors=tuple(draw(st.lists(st.sampled_from(AUTHORS + ("z",)),
+                                               max_size=3, unique=True))),
+            citing_institutions=frozenset(draw(st.sets(
+                st.sampled_from(INSTITUTIONS + ("Inst Z",))))),
+            citing_indexed=draw(st.booleans()),
+            mention_count=draw(st.integers(1, 3)),
+        ))
+    return CorpusBundle(tuple(publications), tuple(citations))
+
+
+def scan_own(author, corpus):
+    own = [p for p in corpus.publications if author in p.authors]
+    if not own:
+        raise NoPublicationsError(author)
+    return own
+
+
+def scan_close_associates(author, corpus):
+    found = set()
+    for p in scan_own(author, corpus):
+        found |= {x for x in p.authors if x != author}
+        if p.institution_by_author.get(author):
+            found.add(p.institution_by_author[author])
+    return found
+
+
+def scan_filter_citations(author, corpus, cfg):
+    """One pass over every link in corpus order, attributing each rejected
+    unit to the first rule that matches."""
+    by_id = {p.pub_id: p for p in corpus.publications}
+    own = scan_own(author, corpus)
+    associates = scan_close_associates(author, corpus)
+    audits = {p.pub_id: FilterAudit(cited_pub=p.pub_id) for p in own}
+    accepted_pairs = set()
+    for link in corpus.citations:
+        if link.cited_pub not in audits:
+            continue
+        audit, units = audits[link.cited_pub], link.mention_count
+        citing_doc = by_id.get(link.citing_pub)
+        citers = set(link.citing_authors)
+        pair = (link.citing_pub, link.cited_pub)
+        if cfg.require_indexed_source and not link.citing_indexed:
+            audit._reject("indexed", units)
+        elif cfg.exclude_flagged and citing_doc is not None and citing_doc.flags:
+            audit._reject("flagged", units)
+        else:
+            if cfg.dedupe_per_document:
+                audit._reject("dedupe", units - 1)
+                units = 1
+            if cfg.exclude_self and citers & set(by_id[link.cited_pub].authors):
+                audit._reject("self", units)
+            elif cfg.exclude_close_associates and (
+                    (citers | link.citing_institutions) & associates):
+                audit._reject("associate", units)
+            elif cfg.one_per_author_per_source and pair in accepted_pairs:
+                audit._reject("one_per_author", units)
+            else:
+                if cfg.one_per_author_per_source:
+                    audit._reject("one_per_author", units - 1)
+                    units = 1
+                    accepted_pairs.add(pair)
+                audit.accepted += units
+    ordered = [audits[p.pub_id] for p in own]
+    return sum(a.accepted for a in ordered), ordered
+
+
+def all_configs():
+    fields = sorted(FilterConfig.__dataclass_fields__)
+    for bits in itertools.product([False, True], repeat=len(fields)):
+        yield FilterConfig(**dict(zip(fields, bits)))
+
+
+class TestIndexAgainstFullScan:
+    @settings(max_examples=60, deadline=None)
+    @given(small_bundles())
+    def test_every_author_and_rule_subset(self, corpus):
+        for author in AUTHORS:
+            try:
+                own = scan_own(author, corpus)
+            except NoPublicationsError:
+                with pytest.raises(NoPublicationsError):
+                    filter_citations(author, corpus, FilterConfig())
+                with pytest.raises(NoPublicationsError):
+                    close_associates(author, corpus)
+                with pytest.raises(EmptyPortfolioError):
+                    compute_author_metrics(author, corpus)
+                continue
+            assert close_associates(author, corpus) == scan_close_associates(
+                author, corpus)
+            profile = build_role_profile(author, corpus.publications)
+            k_r = role_dominance(profile.shares,
+                                 all(p.alphabetical_order for p in own))
+            fwci = fwci_total(profile.role_fwci) if profile.role_fwci else None
+            for cfg in all_configs():
+                expected = scan_filter_citations(author, corpus, cfg)
+                assert filter_citations(author, corpus, cfg) == expected
+                cit, audits = expected
+                metrics = compute_author_metrics(author, corpus, cfg)
+                assert (metrics.doc, metrics.cit, metrics.h_index) == (
+                    len(own), cit, h_index(a.accepted for a in audits))
+                assert (metrics.k_r, metrics.fwci_total) == (k_r, fwci)
+                assert metrics.k_exact == k_index(k_r, fwci, cit, len(own))[0]
