@@ -10,7 +10,7 @@ import argparse
 import csv
 import io
 import sys
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Context, Decimal, ROUND_HALF_UP
 
 from .analytics import (
     RANK_KEYS,
@@ -75,6 +75,11 @@ def _read(path: str) -> str:
         raise _Fail(2, [f"cannot read {path}: {exc}"]) from None
 
 
+# Enough significant digits to quantize any finite float (at most 309
+# integer digits) at any allowed precision without InvalidOperation.
+_QUANTIZE = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PRECISION)
+
+
 def fmt_value(value, precision: int) -> str:
     """Render one cell: '-' for absent, plain integers, and floats rounded
     half-away-from-zero at the given number of decimal places."""
@@ -85,7 +90,9 @@ def fmt_value(value, precision: int) -> str:
     if isinstance(value, int):
         return str(value)
     quantum = Decimal(1).scaleb(-precision)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(
+        Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE)
+    )
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
@@ -145,20 +152,24 @@ def _parse_summary(path: str) -> list[AuthorSummaryRow]:
 
 
 def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
+    author = getattr(args, "author", None)
     if args.summary:
         rows = _parse_summary(args.summary)
         try:
             metrics = [metrics_from_summary(row) for row in rows]
         except EmptyPortfolioError as exc:
             raise _Fail(1, [str(exc)]) from None
+        if author:
+            metrics = [m for m in metrics if m.author == author]
     else:
         bundle = _parse_corpus(args.corpus)
-        authors = sorted(bundle.publications_by_author)
+        if author:
+            authors = [author] if author in bundle.publications_by_author else []
+        else:
+            authors = sorted(bundle.publications_by_author)
         metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
-    if getattr(args, "author", None):
-        metrics = [m for m in metrics if m.author == args.author]
-        if not metrics:
-            raise _Fail(1, [f"unknown author {args.author!r}"])
+    if author and not metrics:
+        raise _Fail(1, [f"unknown author {author!r}"])
     return metrics
 
 

@@ -13,7 +13,10 @@ model, it does not become zero. All errors carry line numbers, and a file
 is either accepted whole or rejected with the full list of problems.
 """
 
+import gc
+import math
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .filtering import FilterConfig
@@ -93,6 +96,29 @@ _CITE_FIELDS = (
     "citing_indexed", "mentions",
 )
 _CITE_REQUIRED = ("citing_pub", "cited_pub")
+_PUB_KEYS = frozenset(_PUB_FIELDS) | {"type"}
+_CITE_KEYS = frozenset(_CITE_FIELDS) | {"type"}
+
+# Shared by every record whose optional set-valued field is absent or empty.
+_EMPTY: frozenset = frozenset()
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a bulk parse.
+
+    Parsed records hold no reference cycles, yet each allocation counts
+    toward the collector's thresholds, so a large file would trigger
+    hundreds of collections that free nothing. The previous state is
+    restored on exit: a collector the caller had disabled stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_bool(value: str) -> bool:
@@ -103,19 +129,31 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
+def _parse_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading ``-``.
+
+    The other spellings ``int()`` reads (``1_000``, ``+5``, non-ASCII
+    digits) are rejected; text ``int()`` cannot read keeps its message.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isdigit() and digits.isascii():
+        return int(text)
+    int(text)  # raises int()'s own message for text it cannot read
+    raise ValueError(f"{text!r} is not a plain integer")
+
+
 def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+    return [name for item in value.split(",") if (name := item.strip())]
 
 
 def _parse_fields(line: str) -> dict[str, str]:
     fields: dict[str, str] = {}
     for token in line.split("\t"):
-        token = token.strip()
-        if not token:
+        key, sep, value = token.partition("=")
+        if not sep:
+            if token.strip():
+                raise ValueError(f"field {token.strip()!r} is not key=value")
             continue
-        if "=" not in token:
-            raise ValueError(f"field {token!r} is not key=value")
-        key, _, value = token.partition("=")
         key = key.strip()
         if key in fields:
             raise ValueError(f"duplicate field {key!r}")
@@ -125,46 +163,61 @@ def _parse_fields(line: str) -> dict[str, str]:
     return fields
 
 
+def _check_keys(
+    fields: dict[str, str], known: frozenset[str], required: tuple[str, ...], kind: str
+) -> None:
+    if not fields.keys() <= known:
+        unknown = sorted(fields.keys() - known)
+        raise ValueError(f"unknown field(s) {unknown} on {kind} record")
+    for key in required:
+        if key not in fields:
+            missing = [k for k in required if k not in fields]
+            raise ValueError(f"{kind} record missing required field(s) {missing}")
+
+
 def _build_publication(fields: dict[str, str]) -> PublicationRecord:
-    unknown = set(fields) - set(_PUB_FIELDS) - {"type"}
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} on pub record")
-    missing = [k for k in _PUB_REQUIRED if k not in fields]
-    if missing:
-        raise ValueError(f"pub record missing required field(s) {missing}")
+    _check_keys(fields, _PUB_KEYS, _PUB_REQUIRED, "pub")
 
     institutions: dict[str, str] = {}
-    for pair in _split_list(fields.get("institutions", "")):
-        if ":" not in pair:
-            raise ValueError(f"institution entry {pair!r} is not author:name")
-        author, _, name = pair.partition(":")
-        institutions[author.strip()] = name.strip()
+    if value := fields.get("institutions"):
+        for pair in _split_list(value):
+            author, sep, name = pair.partition(":")
+            if not sep:
+                raise ValueError(f"institution entry {pair!r} is not author:name")
+            institutions[author.strip()] = name.strip()
 
-    flags = set()
-    for flag in _split_list(fields.get("flags", "")):
+    flags = _EMPTY
+    if value := fields.get("flags"):
+        found = set()
+        for flag in _split_list(value):
+            try:
+                found.add(PublicationFlag(flag))
+            except ValueError:
+                raise ValueError(f"unknown flag {flag!r}") from None
+        flags = frozenset(found)
+
+    tier = VenueTier.UNRANKED
+    if "venue_tier" in fields:
         try:
-            flags.add(PublicationFlag(flag))
+            tier = VenueTier(fields["venue_tier"])
         except ValueError:
-            raise ValueError(f"unknown flag {flag!r}") from None
-    try:
-        tier = VenueTier(fields.get("venue_tier", "UNRANKED"))
-    except ValueError:
-        raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}") from None
+            raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}") from None
 
-    fwci = None
-    if "fwci" in fields and fields["fwci"] != "":
-        fwci = float(fields["fwci"])
+    fwci = float(value) if (value := fields.get("fwci")) else None
 
+    corresponding = fields.get("corresponding")
     record = PublicationRecord(
         pub_id=fields["pub_id"],
-        year=int(fields["year"]),
+        year=_parse_int(fields["year"]),
         authors=tuple(_split_list(fields["authors"])),
-        corresponding=frozenset(_split_list(fields.get("corresponding", ""))),
+        corresponding=frozenset(_split_list(corresponding)) if corresponding else _EMPTY,
         venue_tier=tier,
         fwci=fwci,
-        indexed=_parse_bool(fields.get("indexed", "true")),
-        alphabetical_order=_parse_bool(fields.get("alphabetical", "false")),
-        flags=frozenset(flags),
+        indexed=_parse_bool(fields["indexed"]) if "indexed" in fields else True,
+        alphabetical_order=(
+            _parse_bool(fields["alphabetical"]) if "alphabetical" in fields else False
+        ),
+        flags=flags,
         institution_by_author=institutions,
     )
     record.validate()
@@ -172,26 +225,26 @@ def _build_publication(fields: dict[str, str]) -> PublicationRecord:
 
 
 def _build_citation(fields: dict[str, str]) -> CitationRecord:
-    unknown = set(fields) - set(_CITE_FIELDS) - {"type"}
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} on cite record")
-    missing = [k for k in _CITE_REQUIRED if k not in fields]
-    if missing:
-        raise ValueError(f"cite record missing required field(s) {missing}")
+    _check_keys(fields, _CITE_KEYS, _CITE_REQUIRED, "cite")
+    authors = fields.get("citing_authors")
+    institutions = fields.get("citing_institutions")
     record = CitationRecord(
         citing_pub=fields["citing_pub"],
         cited_pub=fields["cited_pub"],
-        citing_authors=tuple(_split_list(fields.get("citing_authors", ""))),
-        citing_institutions=frozenset(
-            _split_list(fields.get("citing_institutions", ""))
+        citing_authors=tuple(_split_list(authors)) if authors else (),
+        citing_institutions=(
+            frozenset(_split_list(institutions)) if institutions else _EMPTY
         ),
-        citing_indexed=_parse_bool(fields.get("citing_indexed", "true")),
-        mention_count=int(fields.get("mentions", "1")),
+        citing_indexed=(
+            _parse_bool(fields["citing_indexed"]) if "citing_indexed" in fields else True
+        ),
+        mention_count=_parse_int(fields["mentions"]) if "mentions" in fields else 1,
     )
     record.validate()
     return record
 
 
+@_gc_paused()
 def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     """Parse a corpus file into a bundle.
 
@@ -202,17 +255,21 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     lines = source.splitlines() if isinstance(source, str) else source
     issues: list[ParseIssue] = []
     publications: list[PublicationRecord] = []
-    citations: list[tuple[int, CitationRecord]] = []
+    citations: list[CitationRecord] = []
+    cite_lines: list[int] = []
     pub_lines: dict[str, int] = {}
 
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for line_no, line in enumerate(lines, 1):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         try:
             fields = _parse_fields(line)
             kind = fields["type"]
-            if kind == "pub":
+            if kind == "cite":
+                citations.append(_build_citation(fields))
+                cite_lines.append(line_no)
+            elif kind == "pub":
                 record = _build_publication(fields)
                 if record.pub_id in pub_lines:
                     raise ValueError(
@@ -221,14 +278,12 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
                     )
                 pub_lines[record.pub_id] = line_no
                 publications.append(record)
-            elif kind == "cite":
-                citations.append((line_no, _build_citation(fields)))
             else:
                 raise ValueError(f"unknown record type {kind!r}")
         except (ValueError, MalformedRecordError) as exc:
             issues.append(ParseIssue(line_no, str(exc)))
 
-    for line_no, cite in citations:
+    for line_no, cite in zip(cite_lines, citations):
         if cite.cited_pub not in pub_lines:
             issues.append(
                 ParseIssue(
@@ -239,10 +294,7 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
 
     if issues:
         raise ParseError(issues)
-    return CorpusBundle(
-        publications=tuple(publications),
-        citations=tuple(c for _, c in citations),
-    )
+    return CorpusBundle(publications=tuple(publications), citations=tuple(citations))
 
 
 def dump_publications(bundle: CorpusBundle) -> str:
@@ -307,34 +359,57 @@ _KNOWN_COLUMNS = (
     {"id", "author"} | set(_COUNT_COLUMNS) | set(_SHARE_COLUMNS)
     | set(_FWCI_COLUMNS)
 )
-
-
-def _is_absent(cell: str) -> bool:
-    return cell.strip() in ("", "-")
+# Text of an absent cell, after stripping.
+_ABSENT = ("", "-")
 
 
 def _parse_count(cell: str, column: str) -> int:
-    digits = cell.replace(" ", "").replace(" ", "")
-    value = int(digits)
+    value = _parse_int(cell.replace(" ", "").replace("\u00a0", ""))
     if value < 0:
         raise ValueError(f"{column} must be non-negative, got {value}")
     return value
 
 
 def _parse_decimal(cell: str) -> float:
-    return float(cell.strip().replace(",", "."))
+    return float(cell.replace(",", "."))
 
 
 def _parse_share(cell: str, column: str) -> float:
-    text = cell.strip()
-    if text.endswith("%"):
-        text = text[:-1].strip()
+    text = cell[:-1].strip() if cell.endswith("%") else cell
     percent = _parse_decimal(text)
     if not 0 <= percent <= 100:
         raise ValueError(f"{column} share {cell!r} is outside 0..100%")
     return percent / 100.0
 
 
+@dataclass(frozen=True)
+class _SummaryLayout:
+    """Cell positions of one table's columns, resolved once from its header.
+
+    ``counts`` holds (position, label) for H, DOC and CIT in that order,
+    with position None for a missing column; ``shares`` and ``fwci`` hold
+    (position, role, label) for the columns present, in role order.
+    """
+
+    author: int
+    id: int | None
+    counts: tuple[tuple[int | None, str], ...]
+    shares: tuple[tuple[int, Role, str], ...]
+    fwci: tuple[tuple[int, Role, str], ...]
+
+    @classmethod
+    def from_header(cls, columns: list[str]) -> "_SummaryLayout":
+        at = {name: i for i, name in enumerate(columns)}
+        return cls(
+            author=at["author"],
+            id=at.get("id"),
+            counts=tuple((at.get(c), c.upper()) for c in _COUNT_COLUMNS),
+            shares=tuple((at[c], r, c.upper()) for c, r in _SHARE_COLUMNS.items() if c in at),
+            fwci=tuple((at[c], r, c.upper()) for c, r in _FWCI_COLUMNS.items() if c in at),
+        )
+
+
+@_gc_paused()
 def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     """Parse a delimited author summary table.
 
@@ -342,12 +417,13 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     delimited): Author is required; Id, H, DOC, CIT and the per-role
     share/FWCI pairs FA/FWCI1, LA/FWCI2, CoA/FWCI3, CorA/FWCI4, SA/FWCI5
     are optional. Share cells are percentages, with or without the ``%``
-    sign; a "-" or empty cell is an absent value.
+    sign; a "-" or empty cell is an absent value. With an Id column, the
+    author ids must be unique.
     """
     lines = [
         (no, line)
         for no, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.lstrip().startswith("#")
+        if (stripped := line.lstrip()) and stripped[0] != "#"
     ]
     if not lines:
         return []
@@ -366,65 +442,75 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     if len(set(columns)) != len(columns):
         raise ParseError([ParseIssue(header_no, "duplicate column in header")])
 
+    layout = _SummaryLayout.from_header(columns)
+    width = len(columns)
+    id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
     for line_no, line in lines[1:]:
         cells = [c.strip() for c in line.split(delim)]
-        if len(cells) > len(columns):
+        if len(cells) > width:
             issues.append(
-                ParseIssue(line_no, f"{len(cells)} cells for {len(columns)} columns")
+                ParseIssue(line_no, f"{len(cells)} cells for {width} columns")
             )
             continue
-        cells += [""] * (len(columns) - len(cells))
-        record = dict(zip(columns, cells))
+        cells += [""] * (width - len(cells))
         try:
-            rows.append(_build_summary_row(record))
+            row = _build_summary_row(cells, layout)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
+            continue
+        if layout.id is not None:
+            first = id_lines.setdefault(row.author, line_no)
+            if first != line_no:
+                issues.append(ParseIssue(
+                    line_no, f"duplicate Id {row.author!r} (first seen on line {first})"
+                ))
+        rows.append(row)
 
     if issues:
         raise ParseError(issues)
     return rows
 
 
-def _build_summary_row(record: dict[str, str]) -> AuthorSummaryRow:
-    name = record.get("author", "").strip()
+def _build_summary_row(cells: list[str], layout: _SummaryLayout) -> AuthorSummaryRow:
+    """One row from its stripped cells. Checks run in a fixed column order
+    (H, DOC, CIT, shares, FWCI), so the first problem reported on a row does
+    not depend on the order of the header."""
+    name = cells[layout.author]
     if not name:
         raise ValueError("empty Author cell")
-    author = record.get("id", "").strip() or name
+    author = (cells[layout.id] if layout.id is not None else "") or name
 
-    counts: dict[str, int | None] = {}
-    for column in _COUNT_COLUMNS:
-        cell = record.get(column, "")
-        counts[column] = None if _is_absent(cell) else _parse_count(cell, column.upper())
-    if counts["doc"] is not None and counts["doc"] < 1:
+    h, doc, cit = (
+        None if at is None or cells[at] in _ABSENT else _parse_count(cells[at], label)
+        for at, label in layout.counts
+    )
+    if doc is not None and doc < 1:
         raise ValueError("DOC must be at least 1")
-    if (
-        counts["h"] is not None
-        and counts["doc"] is not None
-        and counts["h"] > counts["doc"]
-    ):
-        raise ValueError(f"H {counts['h']} exceeds DOC {counts['doc']}")
+    if h is not None and doc is not None and h > doc:
+        raise ValueError(f"H {h} exceeds DOC {doc}")
 
     shares: dict[Role, float] = {}
-    for column, role in _SHARE_COLUMNS.items():
-        cell = record.get(column, "")
-        if not _is_absent(cell):
-            shares[role] = _parse_share(cell, column.upper())
+    for at, role, label in layout.shares:
+        if cells[at] not in _ABSENT:
+            shares[role] = _parse_share(cells[at], label)
     role_fwci: dict[Role, float] = {}
-    for column, role in _FWCI_COLUMNS.items():
-        cell = record.get(column, "")
-        if not _is_absent(cell):
+    for at, role, label in layout.fwci:
+        cell = cells[at]
+        if cell not in _ABSENT:
             value = _parse_decimal(cell)
             if value < 0:
-                raise ValueError(f"{column.upper()} must be non-negative")
+                raise ValueError(f"{label} must be non-negative")
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {cell!r}")
             role_fwci[role] = value
 
     return AuthorSummaryRow(
         author=author,
         display_name=name,
-        h_index=counts["h"],
-        doc=counts["doc"],
-        cit=counts["cit"],
+        h_index=h,
+        doc=doc,
+        cit=cit,
         shares=shares,
         role_fwci=role_fwci,
     )

@@ -5,6 +5,7 @@ Everything here is an immutable value object; the two operations
 to evaluate in parallel across authors or publications.
 """
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,7 +53,7 @@ class NoPublicationsError(LookupError):
     """The requested author has no publications in the corpus."""
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class PublicationRecord:
     """One indexed publication.
 
@@ -77,29 +78,32 @@ class PublicationRecord:
             raise MalformedRecordError("publication has empty pub_id")
         if not self.authors:
             raise MalformedRecordError(f"publication {self.pub_id!r} has no authors")
-        if len(set(self.authors)) != len(self.authors):
+        byline = set(self.authors)
+        if len(byline) != len(self.authors):
             raise MalformedRecordError(
                 f"publication {self.pub_id!r} has a duplicate author in the byline"
             )
-        unknown = set(self.corresponding) - set(self.authors)
-        if unknown:
+        if not self.corresponding <= byline:
             raise MalformedRecordError(
                 f"publication {self.pub_id!r}: corresponding authors "
-                f"{sorted(unknown)} are not in the byline"
+                f"{sorted(self.corresponding - byline)} are not in the byline"
             )
         if self.fwci is not None and self.fwci < 0:
             raise MalformedRecordError(
                 f"publication {self.pub_id!r} has negative fwci {self.fwci}"
             )
-        bad_inst = set(self.institution_by_author) - set(self.authors)
-        if bad_inst:
+        if self.fwci is not None and not math.isfinite(self.fwci):
+            raise MalformedRecordError(
+                f"publication {self.pub_id!r} has non-finite fwci {self.fwci}"
+            )
+        if not self.institution_by_author.keys() <= byline:
             raise MalformedRecordError(
                 f"publication {self.pub_id!r}: institutions listed for "
-                f"non-authors {sorted(bad_inst)}"
+                f"non-authors {sorted(self.institution_by_author.keys() - byline)}"
             )
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class CitationRecord:
     """One citing-document -> cited-document link.
 

@@ -1,8 +1,11 @@
+from decimal import Decimal, ROUND_HALF_UP, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from kindex.cli import main
+import kindex.cli
+from kindex.cli import fmt_value, main
 
 from refdata import KRATING
 
@@ -90,6 +93,22 @@ class TestMetrics:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("t,")
+
+    def test_author_filter_computes_only_that_author(self, capsys, monkeypatch):
+        computed = []
+        compute = kindex.cli.compute_author_metrics
+
+        def counting(author, *rest):
+            computed.append(author)
+            return compute(author, *rest)
+
+        _, everyone, _ = run(capsys, "metrics", "--corpus", FILTER_CORPUS)
+        monkeypatch.setattr(kindex.cli, "compute_author_metrics", counting)
+        code, out, _ = run(capsys, "metrics", "--corpus", FILTER_CORPUS, "--author", "t")
+        assert code == 0
+        assert computed == ["t"]
+        header, *rows = everyone.splitlines()
+        assert out.splitlines() == [header, next(r for r in rows if r.startswith("t "))]
 
     def test_unknown_author_exits_1(self, capsys):
         code, _, err = run(capsys, "metrics", "--corpus", FILTER_CORPUS,
@@ -231,6 +250,36 @@ class TestYearly:
         assert "line 1" in err
 
 
+class TestInputRejections:
+    """Malformed numbers and ids end in exit 1 with one line each."""
+
+    @pytest.mark.parametrize("command", ["validate", "yearly"])
+    @pytest.mark.parametrize("line,message", [
+        ("type=pub\tpub_id=p1\tyear=2019\tauthors=a\tfwci=nan",
+         "line 1: publication 'p1' has non-finite fwci nan"),
+        ("type=pub\tpub_id=p1\tyear=2019\tauthors=a\tfwci=inf",
+         "line 1: publication 'p1' has non-finite fwci inf"),
+        ("type=pub\tpub_id=p1\tyear=2_019\tauthors=a",
+         "line 1: '2_019' is not a plain integer"),
+    ])
+    def test_corpus(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "corpus.txt"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("row,message", [
+        ("a\tA\t1\t2\tnan", "line 2: FWCI1 must be finite, got 'nan'"),
+        ("a\tA\t1\t1_000\t0.5", "line 2: '1_000' is not a plain integer"),
+        ("b\tB\t1\t2\t0.5\nb\tC\t1\t2\t0.5", "line 3: duplicate Id 'b' (first seen on line 2)"),
+    ])
+    def test_summary(self, tmp_path, capsys, row, message):
+        path = tmp_path / "table.tsv"
+        path.write_text("Id\tAuthor\tDOC\tCIT\tFWCI1\n" + row + "\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path))
+        assert (code, out, err) == (1, "", message + "\n")
+
+
 class TestDeterminism:
     def test_metrics_byte_identical_across_runs(self, capsys):
         first = run(capsys, "metrics", "--summary", KRATING_SUMMARY)
@@ -270,3 +319,36 @@ class TestPrecision:
                            "--format", "csv", "--precision", precision)
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[4] == cell
+
+
+class TestFmtValue:
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 12))
+    def test_matches_reference_decimal(self, value, precision):
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            exact = Decimal(repr(value))
+            quantum = Decimal(10) ** -precision
+            expected = exact.quantize(quantum, rounding=ROUND_HALF_UP)
+            assert abs(Decimal(fmt_value(value, precision)) - exact) <= quantum / 2
+        assert fmt_value(value, precision) == str(expected)
+
+    @pytest.mark.parametrize("value,precision,text", [
+        (1e16, 12, "10000000000000000.000000000000"),
+        (-2.5, 0, "-3"),
+        (0.125, 2, "0.13"),
+        (51.83, 12, "51.830000000000"),
+    ])
+    def test_examples(self, value, precision, text):
+        assert fmt_value(value, precision) == text
+
+    def test_largest_float_at_widest_precision(self):
+        text = fmt_value(1.7976931348623157e308, 12)
+        assert text.startswith("17976931348623157000") and text.endswith(".000000000000")
+        assert len(text) == 309 + 1 + 12
+
+    def test_huge_citation_count_prints(self, tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"Author\tDOC\tCIT\nA\t1\t{10 ** 40}\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[4] == f"{10 ** 40}.00"

@@ -1,4 +1,8 @@
+import gc
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kindex import (
     ConfigError,
@@ -134,8 +138,9 @@ class TestParseAuthorSummaries:
         assert row.role_fwci[Role.FA] == pytest.approx(1.775)
 
     def test_digit_grouping_spaces_accepted(self):
-        text = "Author\tH\tDOC\tCIT\nSomeone\t48\t294\t7 765\n"
-        assert parse_author_summaries(text)[0].cit == 7765
+        text = "Author\tH\tDOC\tCIT\nSomeone\t48\t2\u00a0940\t7 765\n"
+        row = parse_author_summaries(text)[0]
+        assert (row.doc, row.cit) == (2940, 7765)
 
     def test_h_greater_than_doc_rejected(self):
         text = "Author\tH\tDOC\tCIT\nSomeone\t11\t10\t50\n"
@@ -145,8 +150,9 @@ class TestParseAuthorSummaries:
 
     def test_negative_count_rejected(self):
         text = "Author\tH\tDOC\tCIT\nSomeone\t3\t10\t-5\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_author_summaries(text)
+        assert str(err.value) == "line 2: CIT must be non-negative, got -5"
 
     def test_share_above_100_percent_rejected(self):
         text = "Author\tDOC\tCIT\tFA\nSomeone\t10\t50\t120%\n"
@@ -163,6 +169,203 @@ class TestParseAuthorSummaries:
         row = parse_author_summaries(text)[0]
         assert row.author == "mr-48"
         assert row.display_name == "Myrzakulov Ratbay"
+
+
+class TestNumberRejections:
+    @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "Infinity", "1e400"])
+    def test_non_finite_corpus_fwci_rejected(self, value):
+        text = f"# c\ntype=pub\tpub_id=p1\tyear=2019\tauthors=a\tfwci={value}\n"
+        with pytest.raises(ParseError) as err:
+            parse_publications(text)
+        [issue] = err.value.issues
+        assert issue.line_no == 2
+        assert "p1" in issue.message and "non-finite fwci" in issue.message
+
+    def test_negative_infinite_fwci_keeps_the_negative_message(self):
+        text = "type=pub\tpub_id=p1\tyear=2019\tauthors=a\tfwci=-inf\n"
+        with pytest.raises(ParseError, match="negative fwci -inf"):
+            parse_publications(text)
+
+    @pytest.mark.parametrize("column", ["FWCI1", "FWCI3", "FWCI5"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "NaN", "1e400"])
+    def test_non_finite_summary_fwci_rejected(self, column, cell):
+        text = f"Author\tDOC\tCIT\t{column}\nSomeone\t10\t50\t{cell}\n"
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(text)
+        assert str(err.value) == f"line 2: {column} must be finite, got {cell!r}"
+
+    @pytest.mark.parametrize("prefix", [
+        "type=pub\tpub_id=p1\tauthors=a\tyear=",
+        "type=pub\tpub_id=p1\tauthors=a\tyear=2019\n"
+        "type=cite\tciting_pub=x\tcited_pub=p1\tmentions=",
+    ])
+    @pytest.mark.parametrize("value", ["2_000", "+20", "\u0662\u0660"])
+    def test_non_standard_corpus_integer_rejected(self, prefix, value):
+        with pytest.raises(ParseError) as err:
+            parse_publications(prefix + value + "\n")
+        assert str(err.value).endswith(f": {value!r} is not a plain integer")
+
+    @pytest.mark.parametrize("column,cell", [
+        ("CIT", "1_000"), ("H", "+3"), ("DOC", "1_0"), ("CIT", "\u0661\u0662"),
+    ])
+    def test_non_standard_summary_integer_rejected(self, column, cell):
+        values = {"H": "3", "DOC": "10", "CIT": "50"} | {column: cell}
+        text = "Author\tH\tDOC\tCIT\nSomeone\t" + "\t".join(values.values()) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(text)
+        assert str(err.value) == f"line 2: {cell!r} is not a plain integer"
+
+
+class TestDuplicateIds:
+    def test_repeated_id_names_the_first_line(self):
+        text = (
+            "Id\tAuthor\tDOC\tCIT\n"
+            "a1\tFirst\t1\t2\n"
+            "b2\tSecond\t1\t2\n"
+            "a1\tThird\t1\t2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(text)
+        assert str(err.value) == "line 4: duplicate Id 'a1' (first seen on line 2)"
+
+    def test_empty_id_cell_falls_back_to_author_before_the_check(self):
+        text = "Id;Author;DOC;CIT\nx;Same;1;2\n;Same;1;2\n;Same;1;2\n"
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(text)
+        assert [str(i) for i in err.value.issues] == [
+            "line 4: duplicate Id 'Same' (first seen on line 3)"
+        ]
+
+    def test_repeated_author_without_id_column_is_kept(self, natsci_text):
+        # the published sample repeats one row verbatim and has no Id column
+        names = [r.display_name for r in parse_author_summaries(natsci_text)]
+        assert names.count("Shunkeyev Kuanyshbek") == 2
+
+
+_CORPUS = "type=pub\tpub_id=p1\tyear=2019\tauthors=a\ntype=cite\tciting_pub=x\tcited_pub=p1\n"
+_SUMMARY = "Author\tDOC\tCIT\nSomeone\t10\t50\n"
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("parse,text", [
+        (parse_publications, _CORPUS),
+        (parse_publications, _CORPUS + "garbage\n"),
+        (parse_author_summaries, _SUMMARY),
+        (parse_author_summaries, _SUMMARY + "Other\t1\tx\n"),
+        (parse_author_summaries, "Author\tWHAT\n"),
+    ])
+    def test_collector_state_is_restored(self, enabled, parse, text):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            try:
+                parse(text)
+            except ParseError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_is_paused_while_lines_are_read(self):
+        seen = []
+
+        def lines():
+            for line in _CORPUS.splitlines(keepends=True):
+                seen.append(gc.isenabled())
+                yield line
+
+        assert gc.isenabled()
+        parse_publications(lines())
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+
+# Field values: valid ones next to values just outside the format
+# (non-finite floats, non-standard integers, out-of-range numbers).
+def _line(required, optional):
+    """A record line: the required fields, some optional ones, an occasional
+    stray token, in any order."""
+    fields = st.fixed_dictionaries(
+        {key: st.sampled_from(values) for key, values in required.items()},
+        optional={key: st.sampled_from(values) for key, values in optional.items()},
+    )
+    tokens = fields.map(lambda f: [f"{k}={v}" for k, v in f.items()])
+    extra = st.lists(st.sampled_from(["", " ", "junk", "colour=red"]), max_size=1)
+    return st.tuples(tokens, extra).map(lambda t: t[0] + t[1]).flatmap(st.permutations).map(
+        "\t".join
+    )
+
+
+_pub_lines = _line(
+    {"type": ["pub"], "pub_id": ["p1", "p2", "p3"],
+     "year": ["2020", "1999", "-5", "2_000", "+1"], "authors": ["a", "a,b", "b, a,", ""]},
+    {"fwci": ["1.5", "0", "", "nan", "inf", "1e400", "-inf", "-1"], "corresponding": ["a", "z"],
+     "venue_tier": ["Q1", "BOOK", "Q9"], "indexed": ["false", "no"], "alphabetical": ["true"],
+     "flags": ["ERRONEOUS", "ODD"], "institutions": ["a:X Y", "a"]},
+)
+_cite_lines = _line(
+    {"type": ["cite"], "citing_pub": ["x", "p2"], "cited_pub": ["p1", "p1", "p2"]},
+    {"citing_authors": ["a", "z,w"], "citing_institutions": ["X Y", ""],
+     "citing_indexed": ["false"], "mentions": ["1", "3", "0", "+3", "1_0", "\u0663"]},
+)
+
+
+@st.composite
+def corpus_texts(draw):
+    line = st.one_of(_pub_lines, _pub_lines, _cite_lines, st.text(max_size=20))
+    return "\n".join(draw(st.lists(line, max_size=4)))
+
+
+_SUMMARY_OPTIONAL = (
+    "Id", "H", "DOC", "CIT", "FA", "FWCI1", "LA", "FWCI2", "CoA", "FWCI3", "CorA",
+    "FWCI4", "SA", "FWCI5",
+)
+_CELLS = {
+    "Id": ["s1", "s2", "s3", ""], "Author": ["A", "B", ""],
+    "H": ["0", "3", "-", "+3", "-5"], "DOC": ["3", "7 765", "0", "1_000", "\u0663"],
+    "CIT": ["0", "50", "-", "1 0", "x"],
+}
+_DECIMAL_CELLS = ["-", "", "12.5", "50%", "1,5", "0", "101", "nan", "inf", "1e400", "-inf", "nan%"]
+
+
+@st.composite
+def summary_texts(draw):
+    delim = draw(st.sampled_from(["\t", ";"]))
+    columns = draw(st.lists(st.sampled_from(_SUMMARY_OPTIONAL), unique=True, max_size=5))
+    columns.insert(draw(st.integers(0, len(columns))), "Author")
+    header = draw(st.sampled_from([columns, columns + ["Bogus"]]))
+    cells = [st.sampled_from(_CELLS.get(c, _DECIMAL_CELLS)) for c in header]
+    row = st.tuples(*cells).map(delim.join)
+    rows = draw(st.lists(st.one_of(row, row, row, st.text(max_size=20)), max_size=4))
+    return "\n".join([delim.join(header)] + rows)
+
+
+class TestParsersOnArbitraryText:
+    """Any text yields records or a ParseError, and every float accepted is
+    finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_texts() | st.text())
+    def test_corpus_parser(self, text):
+        try:
+            bundle = parse_publications(text)
+        except ParseError as exc:
+            assert exc.issues
+            return
+        assert all(p.fwci is None or math.isfinite(p.fwci) for p in bundle.publications)
+
+    @settings(max_examples=300, deadline=None)
+    @given(summary_texts() | st.text())
+    def test_summary_parser(self, text):
+        try:
+            rows = parse_author_summaries(text)
+        except ParseError as exc:
+            assert exc.issues
+            return
+        for row in rows:
+            assert all(map(math.isfinite, row.shares.values()))
+            assert all(map(math.isfinite, row.role_fwci.values()))
 
 
 class TestLoadConfig:
