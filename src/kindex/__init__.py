@@ -26,6 +26,7 @@ from .filtering import (
 from .indices import (
     AuthorMetrics,
     EmptyPortfolioError,
+    NonFiniteIndexError,
     cit_per_doc,
     compute_author_metrics,
     fwci_total,
@@ -77,6 +78,7 @@ __all__ = [
     "FilterConfig",
     "MalformedRecordError",
     "NoPublicationsError",
+    "NonFiniteIndexError",
     "ParseError",
     "ParseIssue",
     "PublicationFlag",

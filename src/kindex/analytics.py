@@ -1,6 +1,7 @@
 """Corpus-level statistics: correlations, trend fits, rankings and yearly
 activity summaries."""
 
+import math
 import statistics
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -33,6 +34,14 @@ class RankingTable:
     rows: tuple[tuple[int, AuthorMetrics], ...]
 
 
+def _unit_scaled(values: Sequence[float]) -> tuple[list[float], int]:
+    """``(values * 2**-e, e)``, ``2**e`` just above the largest magnitude. The
+    scaling is exact for normal floats, so a statistic of the scaled values,
+    scaled back, equals the direct one bit for bit but cannot overflow."""
+    exponent = math.frexp(max(map(abs, values), default=0.0))[1]
+    return [math.ldexp(v, -exponent) for v in values], exponent
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation coefficient of two equal-length series."""
     if len(x) != len(y):
@@ -40,22 +49,29 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if len(x) < 2:
         raise UndefinedCorrelationError("correlation needs at least two points")
     try:
-        return statistics.correlation(x, y)
+        return statistics.correlation(_unit_scaled(x)[0], _unit_scaled(y)[0])
     except statistics.StatisticsError as exc:
         raise UndefinedCorrelationError(str(exc)) from None
 
 
 def linear_trend(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Ordinary least-squares fit; returns (slope, intercept)."""
+    """Ordinary least-squares fit; returns (slope, intercept). Raises
+    UndefinedCorrelationError if the line at some point's x exceeds a float."""
     if len(points) < 2:
         raise ValueError("trend fit needs at least two points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs, x_exp = _unit_scaled([p[0] for p in points])
+    ys, y_exp = _unit_scaled([p[1] for p in points])
     try:
         slope, intercept = statistics.linear_regression(xs, ys)
     except statistics.StatisticsError as exc:
         raise ValueError(f"degenerate x values: {exc}") from None
-    return slope, intercept
+    try:
+        slope, intercept = math.ldexp(slope, y_exp - x_exp), math.ldexp(intercept, y_exp)
+        if all(math.isfinite(slope * x + intercept) for x, _ in points):
+            return slope, intercept
+    except OverflowError:
+        pass
+    raise UndefinedCorrelationError("trend line is too large for a float")
 
 
 def _key_value(metrics: AuthorMetrics, key: str) -> float:

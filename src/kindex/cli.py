@@ -21,36 +21,23 @@ from .analytics import (
     yearly_summary,
 )
 from .filtering import FilterConfig
-from .indices import AuthorMetrics, EmptyPortfolioError, compute_author_metrics, metrics_from_summary
+from .indices import (
+    AuthorMetrics, EmptyPortfolioError, NonFiniteIndexError, compute_author_metrics,
+    metrics_from_summary,
+)
 from .ingest import (
     AuthorSummaryRow,
     Config,
     ConfigError,
     MAX_PRECISION,
     ParseError,
+    VALUE_COLUMNS,
     load_config,
     parse_author_summaries,
     parse_publications,
 )
-from .model import Role
 
 FORMATS = ("table", "csv", "plotdata")
-
-_CORRELATE_COLUMNS = {
-    "h": lambda r: r.h_index,
-    "doc": lambda r: r.doc,
-    "cit": lambda r: r.cit,
-    "fa": lambda r: r.shares.get(Role.FA),
-    "la": lambda r: r.shares.get(Role.LA),
-    "coa": lambda r: r.shares.get(Role.COA),
-    "cora": lambda r: r.shares.get(Role.CORA),
-    "sa": lambda r: r.shares.get(Role.SA),
-    "fwci1": lambda r: r.role_fwci.get(Role.FA),
-    "fwci2": lambda r: r.role_fwci.get(Role.LA),
-    "fwci3": lambda r: r.role_fwci.get(Role.COA),
-    "fwci4": lambda r: r.role_fwci.get(Role.CORA),
-    "fwci5": lambda r: r.role_fwci.get(Role.SA),
-}
 
 _METRIC_COLUMNS = (
     "author", "name", "doc", "cit", "cit_per_doc", "h_index", "k_r",
@@ -153,42 +140,31 @@ def _parse_summary(path: str) -> list[AuthorSummaryRow]:
 
 def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     author = getattr(args, "author", None)
-    if args.summary:
-        rows = _parse_summary(args.summary)
-        try:
+    try:
+        if args.summary:
+            rows = _parse_summary(args.summary)
             metrics = [metrics_from_summary(row) for row in rows]
-        except EmptyPortfolioError as exc:
-            raise _Fail(1, [str(exc)]) from None
-        if author:
-            metrics = [m for m in metrics if m.author == author]
-    else:
-        bundle = _parse_corpus(args.corpus)
-        if author:
-            authors = [author] if author in bundle.publications_by_author else []
+            if author:
+                metrics = [m for m in metrics if m.author == author]
         else:
-            authors = sorted(bundle.publications_by_author)
-        metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
+            bundle = _parse_corpus(args.corpus)
+            if author:
+                authors = [author] if author in bundle.publications_by_author else []
+            else:
+                authors = sorted(bundle.publications_by_author)
+            metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
+    except (EmptyPortfolioError, NonFiniteIndexError) as exc:
+        raise _Fail(1, [str(exc)]) from None
     if author and not metrics:
         raise _Fail(1, [f"unknown author {author!r}"])
     return metrics
 
 
 def _metric_row(m: AuthorMetrics, precision: int) -> list[str]:
-    return [
-        m.author,
-        m.display_name,
-        fmt_value(m.doc, precision),
-        fmt_value(m.cit, precision),
-        fmt_value(m.cit_per_doc, precision),
-        fmt_value(m.h_index, precision),
-        fmt_value(m.k_r, precision),
-        fmt_value(m.fwci_total, precision),
-        fmt_value(m.k_exact, precision),
-        fmt_value(m.k_display, precision),
-        fmt_value(m.k_p, precision),
-        fmt_value(m.k_c, precision),
-        fmt_value(m.k_integrated, precision),
-    ]
+    """One output row; after author and name, each column is the
+    AuthorMetrics field of the same name."""
+    return [m.author, m.display_name,
+            *(fmt_value(getattr(m, column), precision) for column in _METRIC_COLUMNS[2:])]
 
 
 def cmd_validate(args) -> str:
@@ -237,9 +213,9 @@ def cmd_correlate(args) -> str:
     extractors = {}
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()
-        if key not in _CORRELATE_COLUMNS:
+        if key not in VALUE_COLUMNS:
             raise _Fail(2, [f"unknown column {name!r} for --{axis}"])
-        extractors[axis] = _CORRELATE_COLUMNS[key]
+        extractors[axis] = VALUE_COLUMNS[key]
     pairs = []
     for row in rows:
         x_val = extractors["x"](row)
@@ -252,11 +228,12 @@ def cmd_correlate(args) -> str:
     ys = [p[1] for p in pairs]
     try:
         r = pearson(xs, ys)
+        if args.format == "plotdata":
+            slope, intercept = linear_trend(pairs)
     except UndefinedCorrelationError as exc:
         raise _Fail(1, [f"undefined correlation: {exc}"]) from None
 
     if args.format == "plotdata":
-        slope, intercept = linear_trend(pairs)
         series = [
             ("points", fmt_value(x, precision), fmt_value(y, precision))
             for x, y in pairs
@@ -275,7 +252,10 @@ def cmd_correlate(args) -> str:
 def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
     bundle = _parse_corpus(args.corpus)
-    summary = yearly_summary(bundle)
+    try:
+        summary = yearly_summary(bundle)
+    except NonFiniteIndexError as exc:
+        raise _Fail(1, [str(exc)]) from None
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
     if args.format == "plotdata":
         series = []

@@ -34,6 +34,10 @@ class EmptyPortfolioError(ValueError):
     """CIT/DOC is undefined for an author with zero publications."""
 
 
+class NonFiniteIndexError(ValueError):
+    """An indicator is too large to be represented as a float."""
+
+
 @dataclass(frozen=True)
 class AuthorMetrics:
     """The full indicator bundle for one author."""
@@ -74,7 +78,10 @@ def cit_per_doc(cit: int, doc: int) -> float:
     """Citations per publication; undefined (never silently 0) for doc == 0."""
     if doc < 1:
         raise EmptyPortfolioError("CIT/DOC requires at least one publication")
-    return cit / doc
+    try:
+        return cit / doc
+    except OverflowError:
+        raise NonFiniteIndexError("CIT/DOC is too large for a float") from None
 
 
 def role_dominance(
@@ -108,10 +115,13 @@ def k_index(
     """Aggregate index K = k_r * FWCI + CIT/DOC.
 
     A missing role-dominance coefficient defaults to 1 and a missing FWCI
-    total to 0. Returns (exact value, displayed integer).
+    total to 0. Returns (exact value, displayed integer); raises
+    NonFiniteIndexError when K is too large for a float.
     """
     exact = (1.0 if k_r is None else k_r) * (0.0 if fwci is None else fwci)
     exact += cit_per_doc(cit, doc)
+    if not math.isfinite(exact):
+        raise NonFiniteIndexError("K-index is too large for a float")
     return exact, round_half_away(exact)
 
 
@@ -134,7 +144,10 @@ def _author_metrics(
 ) -> AuthorMetrics:
     """The indicator bundle from its inputs; K, CIT/DOC and integrated K
     are derived here."""
-    k_exact, k_display = k_index(k_r, fwci, cit, doc)
+    try:
+        k_exact, k_display = k_index(k_r, fwci, cit, doc)
+    except NonFiniteIndexError as exc:
+        raise NonFiniteIndexError(f"author {author!r}: {exc}") from None
     return AuthorMetrics(
         author=author, display_name=name, doc=doc, cit=cit,
         cit_per_doc=cit_per_doc(cit, doc), h_index=h, k_r=k_r, fwci_total=fwci,

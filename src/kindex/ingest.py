@@ -15,16 +15,17 @@ is either accepted whole or rejected with the full list of problems.
 
 import gc
 import math
-from collections.abc import Iterable
+import sys
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .filtering import FilterConfig
 from .model import (
     AuthorId,
     CitationRecord,
     CorpusBundle,
-    MalformedRecordError,
     PublicationFlag,
     PublicationRecord,
     Role,
@@ -206,7 +207,7 @@ def _build_publication(fields: dict[str, str]) -> PublicationRecord:
     fwci = float(value) if (value := fields.get("fwci")) else None
 
     corresponding = fields.get("corresponding")
-    record = PublicationRecord(
+    return PublicationRecord(
         pub_id=fields["pub_id"],
         year=_parse_int(fields["year"]),
         authors=tuple(_split_list(fields["authors"])),
@@ -220,15 +221,13 @@ def _build_publication(fields: dict[str, str]) -> PublicationRecord:
         flags=flags,
         institution_by_author=institutions,
     )
-    record.validate()
-    return record
 
 
 def _build_citation(fields: dict[str, str]) -> CitationRecord:
     _check_keys(fields, _CITE_KEYS, _CITE_REQUIRED, "cite")
     authors = fields.get("citing_authors")
     institutions = fields.get("citing_institutions")
-    record = CitationRecord(
+    return CitationRecord(
         citing_pub=fields["citing_pub"],
         cited_pub=fields["cited_pub"],
         citing_authors=tuple(_split_list(authors)) if authors else (),
@@ -240,8 +239,6 @@ def _build_citation(fields: dict[str, str]) -> CitationRecord:
         ),
         mention_count=_parse_int(fields["mentions"]) if "mentions" in fields else 1,
     )
-    record.validate()
-    return record
 
 
 @_gc_paused()
@@ -280,7 +277,7 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
                 publications.append(record)
             else:
                 raise ValueError(f"unknown record type {kind!r}")
-        except (ValueError, MalformedRecordError) as exc:
+        except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
 
     for line_no, cite in zip(cite_lines, citations):
@@ -354,7 +351,7 @@ _SHARE_COLUMNS = {
 _FWCI_COLUMNS = {
     f"fwci{i}": role for i, role in enumerate(ROLE_ORDER, start=1)
 }
-_COUNT_COLUMNS = ("h", "doc", "cit")
+_COUNT_COLUMNS = {"h": "h_index", "doc": "doc", "cit": "cit"}  # column -> row field
 _KNOWN_COLUMNS = (
     {"id", "author"} | set(_COUNT_COLUMNS) | set(_SHARE_COLUMNS)
     | set(_FWCI_COLUMNS)
@@ -362,11 +359,20 @@ _KNOWN_COLUMNS = (
 # Text of an absent cell, after stripping.
 _ABSENT = ("", "-")
 
+# Each numeric column's value in a parsed row; None for an absent cell.
+VALUE_COLUMNS: dict[str, Callable[[AuthorSummaryRow], int | float | None]] = {
+    **{c: attrgetter(name) for c, name in _COUNT_COLUMNS.items()},
+    **{c: lambda row, role=role: row.shares.get(role) for c, role in _SHARE_COLUMNS.items()},
+    **{c: lambda row, role=role: row.role_fwci.get(role) for c, role in _FWCI_COLUMNS.items()},
+}
+
 
 def _parse_count(cell: str, column: str) -> int:
     value = _parse_int(cell.replace(" ", "").replace("\u00a0", ""))
     if value < 0:
         raise ValueError(f"{column} must be non-negative, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{column} is too large for a float")
     return value
 
 

@@ -27,9 +27,6 @@ class Role(str, Enum):
 # Canonical role order; also the numbering of the per-role FWCI slots 1..5.
 ROLE_ORDER = (Role.FA, Role.LA, Role.COA, Role.CORA, Role.SA)
 
-# Positional roles: every publication assigns exactly one of these per author.
-POSITIONAL_ROLES = (Role.FA, Role.LA, Role.COA, Role.SA)
-
 
 class VenueTier(str, Enum):
     Q1 = "Q1"
@@ -59,7 +56,8 @@ class PublicationRecord:
 
     ``authors`` preserves byline order (position 1 = first author).
     ``fwci`` is the publication's field-weighted citation impact, or None
-    when the source database reports none.
+    when the source database reports none. Construction raises
+    MalformedRecordError for a record breaking the rules of docs/formats.md.
     """
 
     pub_id: str
@@ -73,7 +71,7 @@ class PublicationRecord:
     flags: frozenset[PublicationFlag] = frozenset()
     institution_by_author: Mapping[AuthorId, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.pub_id:
             raise MalformedRecordError("publication has empty pub_id")
         if not self.authors:
@@ -110,7 +108,8 @@ class CitationRecord:
     The citing document may be external to the corpus, so its authors,
     institutions and indexing status are carried inline. ``mention_count``
     is how many times the cited work is referenced within the citing
-    document.
+    document. Construction raises MalformedRecordError for a self-citation
+    or a ``mention_count`` below 1.
     """
 
     citing_pub: str
@@ -120,7 +119,7 @@ class CitationRecord:
     citing_indexed: bool = True
     mention_count: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.citing_pub == self.cited_pub:
             raise MalformedRecordError(
                 f"citation of {self.cited_pub!r} cites itself"
@@ -162,7 +161,9 @@ class CorpusBundle:
     """A parsed corpus: publications plus the citation links between them.
 
     Every ``cited_pub`` resolves to a publication in the bundle; citing
-    documents may be external. ``pub_ids`` are unique.
+    documents may be external. ``pub_ids`` are unique. The parser checks
+    both; nothing here rechecks them, so a bundle built by hand must keep
+    them.
 
     The lookup maps below are built once, on first use, and shared by
     every reader of the bundle; callers must not modify them.
@@ -180,7 +181,7 @@ class CorpusBundle:
         """Each author's publications, in corpus order."""
         by_author: dict[AuthorId, list[PublicationRecord]] = {}
         for pub in self.publications:
-            for author in set(pub.authors):  # unvalidated bylines may repeat a name
+            for author in pub.authors:
                 by_author.setdefault(author, []).append(pub)
         return {author: tuple(pubs) for author, pubs in by_author.items()}
 
@@ -201,20 +202,6 @@ class CorpusBundle:
             raise NoPublicationsError(f"author {author!r} has no publications in corpus")
         return self.publications_by_author[author]
 
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for pub in self.publications:
-            pub.validate()
-            if pub.pub_id in seen:
-                raise MalformedRecordError(f"duplicate pub_id {pub.pub_id!r}")
-            seen.add(pub.pub_id)
-        for cite in self.citations:
-            cite.validate()
-            if cite.cited_pub not in seen:
-                raise MalformedRecordError(
-                    f"citation references unknown cited_pub {cite.cited_pub!r}"
-                )
-
 
 def classify_roles(pub: PublicationRecord) -> RoleAssignment:
     """Assign coauthorship roles from the byline.
@@ -223,13 +210,6 @@ def classify_roles(pub: PublicationRecord) -> RoleAssignment:
     is LA and everyone in between is CoA (a two-author paper has no CoA).
     Corresponding authorship is added on top of the positional role.
     """
-    if len(set(pub.authors)) != len(pub.authors):
-        raise MalformedRecordError(
-            f"publication {pub.pub_id!r} has a duplicate author in the byline"
-        )
-    if not pub.authors:
-        raise MalformedRecordError(f"publication {pub.pub_id!r} has no authors")
-
     roles: dict[AuthorId, set[Role]] = {a: set() for a in pub.authors}
     if len(pub.authors) == 1:
         roles[pub.authors[0]].add(Role.SA)

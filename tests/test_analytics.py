@@ -1,7 +1,9 @@
 import math
 import random
+import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kindex import (
     AuthorMetrics,
@@ -102,6 +104,61 @@ class TestLinearTrend:
     def test_degenerate_x_rejected(self):
         with pytest.raises(ValueError):
             linear_trend([(1, 2), (1, 3)])
+
+
+# Values with a fixed number of decimals, so none is subnormal.
+_MODERATE = st.integers(-10**9, 10**9).map(lambda n: n / 1000)
+_SERIES = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(st.lists(_MODERATE, min_size=n, max_size=n),
+                        st.lists(_MODERATE, min_size=n, max_size=n)))
+
+
+class TestRescaling:
+    """pearson and linear_trend rescale their inputs by powers of two: the
+    results equal the unscaled statistics bit for bit, and inputs near the
+    largest float no longer overflow."""
+
+    @given(_SERIES)
+    def test_pearson_equals_the_unscaled_statistic(self, series):
+        x, y = series
+        try:
+            expected = statistics.correlation(x, y)
+        except statistics.StatisticsError:
+            with pytest.raises(UndefinedCorrelationError):
+                pearson(x, y)
+            return
+        assert pearson(x, y) == expected
+
+    @given(_SERIES)
+    def test_trend_equals_the_unscaled_fit(self, series):
+        x, y = series
+        try:
+            expected = tuple(statistics.linear_regression(x, y))
+        except statistics.StatisticsError:
+            with pytest.raises(ValueError):
+                linear_trend(list(zip(x, y)))
+            return
+        assert linear_trend(list(zip(x, y))) == expected
+
+    def test_pearson_near_the_largest_float(self):
+        x = [1e308, 5e307, 2e307]
+        y = [1.0, 2.0, 4.0]
+        assert pearson(x, y) == pearson([math.ldexp(v, -1000) for v in x], y)
+        assert pearson(x, y) == pytest.approx(-0.9449, abs=1e-4)
+
+    def test_trend_near_the_largest_float(self):
+        points = [(1.0, 1.7e308), (3.0, 1.6e308), (5.0, 1.5e308)]
+        slope, intercept = linear_trend(points)
+        assert slope == pytest.approx(-0.05e308)
+        assert intercept == pytest.approx(1.75e308)
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.0), (1e-300, 1e308)],                           # the slope
+        [(0.0, -1.7e308), (1.0, 1.7e308), (2.0, 1.7e308)],       # the line at x = 2
+    ])
+    def test_trend_too_large_for_a_float(self, points):
+        with pytest.raises(UndefinedCorrelationError, match="too large for a float"):
+            linear_trend(points)
 
 
 def metrics(author, k_display=0, k_exact=0.0, h=0, cpd=0.0, name=None):

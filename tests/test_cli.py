@@ -1,11 +1,14 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kindex.cli
-from kindex.cli import fmt_value, main
+from kindex.analytics import RANK_KEYS
+from kindex.cli import FORMATS, fmt_value, main
 
 from refdata import KRATING
 
@@ -278,6 +281,234 @@ class TestInputRejections:
         path.write_text("Id\tAuthor\tDOC\tCIT\tFWCI1\n" + row + "\n")
         code, out, err = run(capsys, "metrics", "--summary", str(path))
         assert (code, out, err) == (1, "", message + "\n")
+
+
+class TestOverflow:
+    """Numbers too large for a float end in exit 1 with one line, not a
+    traceback; values near the largest float still compute."""
+
+    @pytest.mark.parametrize("column", ["H", "DOC", "CIT"])
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--summary", "{}"], ["correlate", "{}", "--x", "doc", "--y", "cit"],
+    ])
+    def test_count_too_large_for_a_float(self, tmp_path, capsys, column, argv):
+        values = {"H": "1", "DOC": "2", "CIT": "3"} | {column: "9" * 400}
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tH\tDOC\tCIT\nA\t" + "\t".join(values.values())
+                        + "\nB\t1\t2\t5\n")
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out, err) == (1, "", f"line 2: {column} is too large for a float\n")
+
+    def test_largest_float_count_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"Author\tDOC\tCIT\nA\t1\t{int(1.7976931348623157e308)}\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[4].startswith("17976931348623157")
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_infinite_k_from_summary_fwci(self, tmp_path, capsys, command):
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tDOC\tCIT\tFWCI1\tFWCI2\nB\t2\t3\t1\t2\n"
+                        "A\t1\t1\t1e308\t1e308\n")
+        code, out, err = run(capsys, command, "--summary", str(path))
+        assert (code, out, err) == (1, "", "author 'A': K-index is too large for a float\n")
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_infinite_k_from_corpus_fwci(self, tmp_path, capsys, command):
+        path = tmp_path / "corpus.txt"
+        path.write_text("type=pub\tpub_id=p1\tyear=2020\tauthors=A\tfwci=1e308\n"
+                        "type=pub\tpub_id=p2\tyear=2020\tauthors=A,B\tfwci=1e308\n")
+        code, out, err = run(capsys, command, "--corpus", str(path))
+        assert (code, out, err) == (1, "", "author 'A': K-index is too large for a float\n")
+
+    def test_mentions_past_a_float_in_yearly_and_metrics(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("type=pub\tpub_id=p1\tyear=2020\tauthors=A\n"
+                          f"type=cite\tciting_pub=x\tcited_pub=p1\tmentions={10 ** 400}\n")
+        config = tmp_path / "config.txt"
+        config.write_text("dedupe_per_document=false\none_per_author_per_source=false\n")
+        code, out, err = run(capsys, "yearly", str(corpus))
+        assert (code, out, err) == (1, "", "CIT/DOC is too large for a float\n")
+        code, out, err = run(capsys, "metrics", "--corpus", str(corpus), "--config", str(config))
+        assert (code, out, err) == (1, "", "author 'A': CIT/DOC is too large for a float\n")
+
+    def test_correlation_near_the_largest_float(self, tmp_path, capsys):
+        # The sums of squares of these FWCI1 cells overflow unless the
+        # series is rescaled; r must match the same table scaled down.
+        huge, small = tmp_path / "huge.tsv", tmp_path / "small.tsv"
+        huge.write_text("Author\tDOC\tCIT\tFWCI1\nA\t1\t1\t1e308\nB\t1\t2\t5e307\n"
+                        "C\t1\t4\t2e307\n")
+        small.write_text(huge.read_text().replace("e308", "").replace("e307", "e-1"))
+        results = [run(capsys, "correlate", str(path), "--x", "fwci1", "--y", "cit")
+                   for path in (huge, small)]
+        assert results[0] == results[1]
+        assert results[0][1].splitlines()[1].split()[-1] == "-0.9449"
+
+    def test_trend_near_the_largest_float_prints(self, tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tDOC\tCIT\tFWCI1\nA\t1\t1\t1.7e308\nB\t2\t3\t1.6e308\n"
+                        "C\t2\t5\t1.5e308\n")
+        code, out, err = run(capsys, "correlate", str(path), "--x", "cit", "--y", "fwci1",
+                             "--format", "plotdata")
+        assert (code, err) == (0, "")
+        trend = [line.split("\t") for line in out.splitlines() if line.startswith("trend")]
+        assert [(x, y[:4]) for _, x, y in trend] == [("1.00", "1700"), ("3.00", "1600"),
+                                                     ("5.00", "1500")]
+
+    def test_trend_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tDOC\tCIT\tFA\tFWCI1\nA\t1\t1\t0\t1e308\n"
+                        "B\t1\t1\t0,0000001\t0\nC\t1\t1\t0,0000001\t1\n")
+        code, out, err = run(capsys, "correlate", str(path), "--x", "fa", "--y", "fwci1",
+                             "--format", "plotdata")
+        assert (code, out) == (1, "")
+        assert err == "undefined correlation: trend line is too large for a float\n"
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Extreme field and cell values: numbers at the largest float, digit runs
+# of up to 400 digits and exponents up to 1e400 past it, and text that no
+# number parser reads.
+_JUNK = st.text(max_size=4)
+_DIGIT_RUNS = st.one_of(
+    st.sampled_from(["9" * 308, str(int(1.7976931348623157e308))]),
+    st.integers(309, 400).map(lambda n: "9" * n),
+)
+_NEAR_MAX = st.sampled_from(["1e308", "1.7e308", "1.7976931348623157e308", "9e307", "1e-300"])
+_EXTREME_COUNT = st.one_of(*[_DIGIT_RUNS] * 5, _JUNK)
+_EXTREME_DECIMAL = st.one_of(
+    *[_NEAR_MAX] * 4, _DIGIT_RUNS, st.integers(300, 400).map(lambda e: f"1e{e}"), _JUNK,
+)
+_EXTREME = {
+    "year": _EXTREME_COUNT, "mentions": _EXTREME_COUNT, "fwci": _EXTREME_DECIMAL,
+    "Id": _JUNK, "DOC": _EXTREME_COUNT, "CIT": _EXTREME_COUNT,
+    "FWCI1": _EXTREME_DECIMAL, "FWCI2": _EXTREME_DECIMAL,
+    "FWCI3": _EXTREME_DECIMAL, "FWCI4": _EXTREME_DECIMAL, "FWCI5": _EXTREME_DECIMAL,
+}
+_AUTHORS = st.sampled_from(["a", "a,b", "b,a,c", "c"])
+
+
+def _with_extremes(draw, records, lines):
+    """Replace some values of ``records`` (key/value dicts) by extreme
+    ones, render the records with ``lines`` and now and then add an
+    arbitrary line."""
+    for fields in records:
+        for key in fields.keys() & _EXTREME.keys():
+            if draw(st.integers(0, 3)) == 0:
+                fields[key] = draw(_EXTREME[key])
+    text = lines(records)
+    if draw(st.integers(0, 7)) == 0:
+        text.insert(draw(st.integers(0, len(text))), draw(st.text(max_size=30)))
+    return "\n".join(text)
+
+
+@st.composite
+def _corpus_texts(draw):
+    """Valid pub and cite records with some extreme field values."""
+    pub_ids = [f"p{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    pubs = []
+    for pub_id in pub_ids:
+        authors = draw(_AUTHORS)
+        first = authors.split(",")[0]
+        pubs.append({"type": "pub", "pub_id": pub_id, "year": "2020", "authors": authors,
+                     "fwci": draw(st.sampled_from(["0", "1.5"]))}
+                    | draw(st.fixed_dictionaries({}, optional={
+                        "corresponding": st.just(first), "alphabetical": st.just("true"),
+                        "institutions": st.just(f"{first}:X")})))
+    cites = [{"type": "cite", "citing_pub": draw(st.sampled_from(["x", "y"])),
+              "cited_pub": draw(st.sampled_from(pub_ids)),
+              "mentions": draw(st.sampled_from(["1", "3"]))}
+             | draw(st.fixed_dictionaries({}, optional={"citing_authors": _AUTHORS}))
+             for _ in range(draw(st.integers(0, 4)))]
+    return _with_extremes(draw, pubs + cites, lambda records: [
+        "\t".join(f"{k}={v}" for k, v in fields.items()) for fields in records])
+
+
+# Config files: valid lines (the filter switches that let more mentions
+# through, a precision) or arbitrary text.
+_CONFIG = st.none() | st.text() | st.lists(st.sampled_from([
+    "dedupe_per_document=false", "one_per_author_per_source=false",
+    "exclude_self_citations=false", "exclude_close_associates=false",
+    "precision=0", "precision=12", "precision=13",
+]), unique=True).map("\n".join)
+
+# Summary columns and their ordinary cells; a table always has the first six.
+# Id cells are generated unique per row.
+_CELLS = {
+    "Author": ["A", "B", "C", "D"], "DOC": ["3", "50", "7 765"], "CIT": ["0", "4", "2020"],
+    "H": ["0", "1"], "FA": ["0", "9%", "50"], "FWCI1": ["0", "1.5"], "Id": [],
+    "LA": ["100", "-"], "CoA": ["12,5"], "CorA": ["0"], "SA": ["1"], "FWCI2": ["2,5", "-"],
+    "FWCI3": ["0.7"], "FWCI4": ["3"], "FWCI5": ["1"],
+}
+_COLUMNS = list(_CELLS)
+
+
+@st.composite
+def _summary_inputs(draw):
+    """A table of ordinary cells (unique ids) with some extreme cells, and
+    the two columns to correlate, usually columns of the table."""
+    extra = draw(st.lists(st.sampled_from(_COLUMNS[6:]), unique=True, max_size=3))
+    columns = draw(st.permutations(_COLUMNS[:6] + extra))
+    rows = [{c: f"id{i}" if c == "Id" else draw(st.sampled_from(_CELLS[c])) for c in columns}
+            for i in range(draw(st.integers(2, 5)))]
+    delim = draw(st.sampled_from(["\t", ";"]))
+    text = _with_extremes(draw, rows, lambda records: [
+        delim.join(columns), *(delim.join(row.values()) for row in records)])
+    axes = st.one_of(*[st.sampled_from(columns)] * 3, st.sampled_from(_COLUMNS + ["Bogus"]))
+    return text, draw(axes), draw(axes)
+
+
+class TestEveryInputEndsInAnExitCode:
+    """Any input file fed to any subcommand exits 0, 1 or 2 without raising:
+    on 0 nothing goes to stderr, otherwise nothing goes to stdout."""
+
+    def check(self, argv):
+        code, out, err = _run_quietly(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == "" and err.endswith("\n")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(_corpus_texts(), _corpus_texts(), _corpus_texts(), st.text()),
+           config=_CONFIG)
+    def test_corpus_commands(self, tmp_path, text, config):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text + "\n", encoding="utf-8")
+        flags = []
+        if config is not None:
+            (tmp_path / "config.txt").write_text(config + "\n", encoding="utf-8")
+            flags = ["--config", str(tmp_path / "config.txt")]
+        self.check(["validate", str(corpus)])
+        for fmt in FORMATS:
+            self.check(["yearly", str(corpus), "--format", fmt, *flags])
+            self.check(["rank", "--corpus", str(corpus), "--format", fmt, *flags])
+        self.check(["metrics", "--corpus", str(corpus), *flags])
+        self.check(["metrics", "--corpus", str(corpus), "--author", "a", *flags])
+        self.check(["rank", "--corpus", str(corpus), "--key", "cit_per_doc", *flags])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(_summary_inputs(), _summary_inputs(), _summary_inputs(),
+                     st.tuples(st.text(), st.just("H"), st.just("FA"))))
+    def test_summary_commands(self, tmp_path, inputs):
+        text, x, y = inputs
+        table = tmp_path / "table.tsv"
+        table.write_text(text + "\n", encoding="utf-8")
+        self.check(["metrics", "--summary", str(table)])
+        for key in RANK_KEYS:
+            self.check(["rank", "--summary", str(table), "--key", key])
+        for fmt in FORMATS:
+            self.check(["correlate", str(table), "--x", x, "--y", y, "--format", fmt])
 
 
 class TestDeterminism:

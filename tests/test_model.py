@@ -1,14 +1,18 @@
+import math
 import random
 
 import pytest
 
 from kindex import (
+    CitationRecord,
     MalformedRecordError,
     NoPublicationsError,
+    ParseError,
     PublicationRecord,
     Role,
     build_role_profile,
     classify_roles,
+    parse_publications,
 )
 
 
@@ -44,9 +48,8 @@ class TestClassifyRoles:
         assert roles == {"A": frozenset({Role.FA}), "B": frozenset({Role.LA})}
 
     def test_duplicate_author_rejected(self):
-        broken = PublicationRecord(pub_id="p", year=2020, authors=("A", "A"))
         with pytest.raises(MalformedRecordError):
-            classify_roles(broken)
+            PublicationRecord(pub_id="p", year=2020, authors=("A", "A"))
 
     def test_positional_role_counts(self):
         # any byline with n >= 2: exactly one FA, one LA, n-2 CoA, no SA
@@ -166,12 +169,80 @@ class TestBuildRoleProfile:
 class TestRecordValidation:
     def test_empty_byline_rejected(self):
         with pytest.raises(MalformedRecordError):
-            PublicationRecord(pub_id="p", year=2020, authors=()).validate()
+            PublicationRecord(pub_id="p", year=2020, authors=())
 
     def test_corresponding_outside_byline_rejected(self):
         with pytest.raises(MalformedRecordError):
-            pub("p", "AB", corresponding=["Z"]).validate()
+            pub("p", "AB", corresponding=["Z"])
 
     def test_negative_fwci_rejected(self):
         with pytest.raises(MalformedRecordError):
-            pub("p", "AB", fwci=-0.5).validate()
+            pub("p", "AB", fwci=-0.5)
+
+
+def _pub(**overrides):
+    fields = {"pub_id": "p", "year": 2020, "authors": ("A", "B")} | overrides
+    return lambda: PublicationRecord(**fields)
+
+
+def _cite(**overrides):
+    fields = {"citing_pub": "q", "cited_pub": "p"} | overrides
+    return lambda: CitationRecord(**fields)
+
+
+PUB_LINE = "type=pub\tpub_id=p\tyear=2020\tauthors=A,B"
+CITE_LINE = PUB_LINE + "\ntype=cite\tcited_pub=p"
+
+# One case per documented record rule: the record built directly, the same
+# record as a corpus file, and the message both report.
+VIOLATIONS = {
+    "empty pub_id": (
+        _pub(pub_id=""), "type=pub\tpub_id=\tyear=2020\tauthors=A,B",
+        "publication has empty pub_id"),
+    "empty byline": (
+        _pub(authors=()), "type=pub\tpub_id=p\tyear=2020\tauthors=",
+        "publication 'p' has no authors"),
+    "duplicate byline": (
+        _pub(authors=("A", "B", "A")), "type=pub\tpub_id=p\tyear=2020\tauthors=A,B,A",
+        "publication 'p' has a duplicate author in the byline"),
+    "corresponding outside byline": (
+        _pub(corresponding=frozenset({"Z", "A"})), PUB_LINE + "\tcorresponding=Z,A",
+        "publication 'p': corresponding authors ['Z'] are not in the byline"),
+    "negative fwci": (
+        _pub(fwci=-0.5), PUB_LINE + "\tfwci=-0.5",
+        "publication 'p' has negative fwci -0.5"),
+    "infinite fwci": (
+        _pub(fwci=math.inf), PUB_LINE + "\tfwci=inf",
+        "publication 'p' has non-finite fwci inf"),
+    "nan fwci": (
+        _pub(fwci=math.nan), PUB_LINE + "\tfwci=nan",
+        "publication 'p' has non-finite fwci nan"),
+    "institution of a non-author": (
+        _pub(institution_by_author={"A": "X", "Z": "Y"}), PUB_LINE + "\tinstitutions=A:X,Z:Y",
+        "publication 'p': institutions listed for non-authors ['Z']"),
+    "self-citation": (
+        _cite(citing_pub="p"), CITE_LINE + "\tciting_pub=p",
+        "citation of 'p' cites itself"),
+    "zero mentions": (
+        _cite(mention_count=0), CITE_LINE + "\tciting_pub=q\tmentions=0",
+        "citation 'q' -> 'p' has mention_count 0"),
+}
+
+
+class TestConstructionChecks:
+    """A record that exists satisfies the corpus rules: construction runs
+    the only check, and the parser reports its message unchanged."""
+
+    @pytest.mark.parametrize("build,text,message", VIOLATIONS.values(), ids=VIOLATIONS.keys())
+    def test_violation_raises_the_parser_message(self, build, text, message):
+        with pytest.raises(MalformedRecordError) as err:
+            build()
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as parsed:
+            parse_publications(text)
+        line_no = text.count("\n") + 1
+        assert [str(issue) for issue in parsed.value.issues] == [f"line {line_no}: {message}"]
+
+    def test_valid_records_construct(self):
+        assert _pub(corresponding=frozenset({"A"}), fwci=0.0)().authors == ("A", "B")
+        assert _cite(mention_count=2)().mention_count == 2
