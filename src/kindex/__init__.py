@@ -59,7 +59,6 @@ from .model import (
     Role,
     RoleAssignment,
     RoleProfile,
-    VenueTier,
     build_role_profile,
     classify_roles,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "RoleAssignment",
     "RoleProfile",
     "UndefinedCorrelationError",
-    "VenueTier",
     "YearlySummaryRow",
     "audit_export",
     "build_role_profile",

@@ -72,8 +72,6 @@ def fmt_value(value, precision: int) -> str:
     half-away-from-zero at the given number of decimal places."""
     if value is None:
         return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     quantum = Decimal(1).scaleb(-precision)

@@ -81,14 +81,13 @@ class FilterAudit:
 def close_associates(author: AuthorId, corpus: CorpusBundle) -> frozenset[str]:
     """Coauthors of ``author`` across the corpus, plus the author's own
     institution strings. The author themself is not included."""
-    coauthors: set[str] = set()
-    institutions: set[str] = set()
+    associates: set[str] = set()
     for pub in corpus.authored(author):
-        coauthors.update(a for a in pub.authors if a != author)
+        associates.update(a for a in pub.authors if a != author)
         inst = pub.institution_by_author.get(author)
         if inst:
-            institutions.add(inst)
-    return frozenset(coauthors | institutions)
+            associates.add(inst)
+    return frozenset(associates)
 
 
 def filter_citations(
@@ -108,48 +107,48 @@ def filter_citations(
         else frozenset()
     )
 
-    audits = {p.pub_id: FilterAudit(cited_pub=p.pub_id) for p in own}
-    accepted_pairs: set[tuple[str, str]] = set()
-    # Each rule depends only on a link and its cited publication, so visiting
-    # the links grouped by cited publication gives the audits of a full scan.
-    by_cited = corpus.citations_by_cited
-    for link in (link for pub_id in audits for link in by_cited.get(pub_id, ())):
-        audit = audits[link.cited_pub]
-        cited = by_id[link.cited_pub]
-        units = link.mention_count
+    audits: list[FilterAudit] = []
+    total = 0
+    # Each rule depends only on a link and its cited publication, so the
+    # links are visited one cited publication at a time.
+    for cited in own:
+        audit = FilterAudit(cited_pub=cited.pub_id)
+        audits.append(audit)
+        byline = frozenset(cited.authors)
+        accepted_from: set[str] = set()  # citing documents already counted
+        for link in corpus.citations_by_cited.get(cited.pub_id, ()):
+            units = link.mention_count
 
-        if cfg.require_indexed_source and not link.citing_indexed:
-            audit._reject(RULE_INDEXED, units)
-            continue
-        citing_doc = by_id.get(link.citing_pub)
-        if cfg.exclude_flagged and citing_doc is not None and citing_doc.flags:
-            audit._reject(RULE_FLAGGED, units)
-            continue
-        if cfg.dedupe_per_document and units > 1:
-            audit._reject(RULE_DEDUPE, units - 1)
-            units = 1
-        if cfg.exclude_self and set(link.citing_authors) & set(cited.authors):
-            audit._reject(RULE_SELF, units)
-            continue
-        if cfg.exclude_close_associates and (
-            set(link.citing_authors) & associates
-            or link.citing_institutions & associates
-        ):
-            audit._reject(RULE_ASSOCIATE, units)
-            continue
-        if cfg.one_per_author_per_source:
-            pair = (link.citing_pub, link.cited_pub)
-            if pair in accepted_pairs:
-                audit._reject(RULE_ONE_PER_AUTHOR, units)
+            if cfg.require_indexed_source and not link.citing_indexed:
+                audit._reject(RULE_INDEXED, units)
                 continue
-            if units > 1:
-                audit._reject(RULE_ONE_PER_AUTHOR, units - 1)
+            citing_doc = by_id.get(link.citing_pub)
+            if cfg.exclude_flagged and citing_doc is not None and citing_doc.flags:
+                audit._reject(RULE_FLAGGED, units)
+                continue
+            if cfg.dedupe_per_document and units > 1:
+                audit._reject(RULE_DEDUPE, units - 1)
                 units = 1
-            accepted_pairs.add(pair)
-        audit.accepted += units
-
-    ordered = [audits[p.pub_id] for p in own]
-    return sum(a.accepted for a in ordered), ordered
+            if cfg.exclude_self and not byline.isdisjoint(link.citing_authors):
+                audit._reject(RULE_SELF, units)
+                continue
+            if cfg.exclude_close_associates and not (
+                associates.isdisjoint(link.citing_authors)
+                and associates.isdisjoint(link.citing_institutions)
+            ):
+                audit._reject(RULE_ASSOCIATE, units)
+                continue
+            if cfg.one_per_author_per_source:
+                if link.citing_pub in accepted_from:
+                    audit._reject(RULE_ONE_PER_AUTHOR, units)
+                    continue
+                if units > 1:
+                    audit._reject(RULE_ONE_PER_AUTHOR, units - 1)
+                    units = 1
+                accepted_from.add(link.citing_pub)
+            audit.accepted += units
+        total += audit.accepted
+    return total, audits
 
 
 def audit_export(audits: list[FilterAudit]) -> str:

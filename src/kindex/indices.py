@@ -162,7 +162,6 @@ def compute_author_metrics(
     cfg: FilterConfig | None = None,
     k_p: float = 0.0,
     k_c: float = 0.0,
-    display_name: str | None = None,
 ) -> AuthorMetrics:
     """Full pipeline over a corpus: role profile, citation filtering and
     every indicator.
@@ -182,8 +181,7 @@ def compute_author_metrics(
     cit, audits = filter_citations(author, corpus, cfg)
     alphabetical = all(p.alphabetical_order for p in own)
     return _author_metrics(
-        author, display_name if display_name is not None else author,
-        len(own), cit, h_index(a.accepted for a in audits),
+        author, author, len(own), cit, h_index(a.accepted for a in audits),
         role_dominance(profile.shares, alphabetical),
         fwci_total(profile.role_fwci) if profile.role_fwci else None, k_p, k_c,
     )

@@ -30,7 +30,6 @@ from .model import (
     PublicationRecord,
     Role,
     ROLE_ORDER,
-    VenueTier,
 )
 
 
@@ -99,6 +98,8 @@ _CITE_FIELDS = (
 _CITE_REQUIRED = ("citing_pub", "cited_pub")
 _PUB_KEYS = frozenset(_PUB_FIELDS) | {"type"}
 _CITE_KEYS = frozenset(_CITE_FIELDS) | {"type"}
+# Documented values of the pub keys that are checked but read by no indicator.
+_VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
 
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
@@ -197,24 +198,21 @@ def _build_publication(fields: dict[str, str]) -> PublicationRecord:
                 raise ValueError(f"unknown flag {flag!r}") from None
         flags = frozenset(found)
 
-    tier = VenueTier.UNRANKED
-    if "venue_tier" in fields:
-        try:
-            tier = VenueTier(fields["venue_tier"])
-        except ValueError:
-            raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}") from None
+    if "venue_tier" in fields and fields["venue_tier"] not in _VENUE_TIERS:
+        raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}")
 
     fwci = float(value) if (value := fields.get("fwci")) else None
+    year = _parse_int(fields["year"])
+    if "indexed" in fields:
+        _parse_bool(fields["indexed"])  # checked only, like venue_tier
 
     corresponding = fields.get("corresponding")
     return PublicationRecord(
         pub_id=fields["pub_id"],
-        year=_parse_int(fields["year"]),
+        year=year,
         authors=tuple(_split_list(fields["authors"])),
         corresponding=frozenset(_split_list(corresponding)) if corresponding else _EMPTY,
-        venue_tier=tier,
         fwci=fwci,
-        indexed=_parse_bool(fields["indexed"]) if "indexed" in fields else True,
         alphabetical_order=(
             _parse_bool(fields["alphabetical"]) if "alphabetical" in fields else False
         ),
@@ -308,12 +306,8 @@ def dump_publications(bundle: CorpusBundle) -> str:
         ]
         if p.corresponding:
             parts.append("corresponding=" + ",".join(sorted(p.corresponding)))
-        if p.venue_tier is not VenueTier.UNRANKED:
-            parts.append(f"venue_tier={p.venue_tier.value}")
         if p.fwci is not None:
             parts.append(f"fwci={p.fwci!r}")
-        if not p.indexed:
-            parts.append("indexed=false")
         if p.alphabetical_order:
             parts.append("alphabetical=true")
         if p.flags:

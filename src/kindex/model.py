@@ -28,15 +28,6 @@ class Role(str, Enum):
 ROLE_ORDER = (Role.FA, Role.LA, Role.COA, Role.CORA, Role.SA)
 
 
-class VenueTier(str, Enum):
-    Q1 = "Q1"
-    Q2 = "Q2"
-    Q3 = "Q3"
-    Q4 = "Q4"
-    BOOK = "BOOK"
-    UNRANKED = "UNRANKED"
-
-
 class PublicationFlag(str, Enum):
     ERRONEOUS = "ERRONEOUS"
     NONSCIENTIFIC = "NONSCIENTIFIC"
@@ -64,9 +55,7 @@ class PublicationRecord:
     year: int
     authors: tuple[AuthorId, ...]
     corresponding: frozenset[AuthorId] = frozenset()
-    venue_tier: VenueTier = VenueTier.UNRANKED
     fwci: float | None = None
-    indexed: bool = True
     alphabetical_order: bool = False
     flags: frozenset[PublicationFlag] = frozenset()
     institution_by_author: Mapping[AuthorId, str] = field(default_factory=dict)
@@ -245,5 +234,8 @@ def build_role_profile(
     for role in ROLE_ORDER:
         values = [p.fwci for p in held[role] if p.fwci is not None]
         if values:
-            role_fwci[role] = sum(values) / len(values)
+            # The plain mean whenever its sum is finite (results stay
+            # bit-identical); else divide first, so huge values keep a finite mean.
+            total, n = sum(values), len(values)
+            role_fwci[role] = total / n if math.isfinite(total) else sum(v / n for v in values)
     return RoleProfile(author=author, shares=shares, role_fwci=role_fwci)

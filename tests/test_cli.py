@@ -322,6 +322,21 @@ class TestOverflow:
         code, out, err = run(capsys, command, "--corpus", str(path))
         assert (code, out, err) == (1, "", "author 'A': K-index is too large for a float\n")
 
+    def test_finite_k_from_huge_role_fwci(self, tmp_path, capsys):
+        # A is last author of both: the LA mean FWCI is 1e308 although the
+        # sum of the two values overflows; k_r is 0.5, so K is 5e307.
+        path = tmp_path / "corpus.txt"
+        path.write_text("type=pub\tpub_id=p1\tyear=2020\tauthors=B,A\tfwci=1e308\n"
+                        "type=pub\tpub_id=p2\tyear=2020\tauthors=B,A\tfwci=1e308\n")
+        code, out, err = run(capsys, "metrics", "--corpus", str(path), "--author", "A",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        header, row = (line.split(",") for line in out.splitlines())
+        cells = dict(zip(header, row))
+        assert float(cells["fwci_total"]) == 1e308
+        assert float(cells["k_exact"]) == 5e307
+        assert cells["k_display"] == str(int(5e307))
+
     def test_mentions_past_a_float_in_yearly_and_metrics(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("type=pub\tpub_id=p1\tyear=2020\tauthors=A\n"

@@ -90,6 +90,37 @@ class TestParsePublications:
         assert parse_publications(dump_publications(bundle)) == bundle
 
 
+class TestCheckedOnlyKeys:
+    """No indicator reads a pub's venue_tier or indexed value, but both are
+    still checked, at the same place among the checks of a line."""
+
+    _PUB = {"type": "pub", "pub_id": "p1", "year": "2019", "authors": "a"}
+
+    def _parse(self, **fields):
+        return parse_publications(
+            "\t".join(f"{k}={v}" for k, v in (self._PUB | fields).items()) + "\n"
+        )
+
+    @pytest.mark.parametrize("tier", ["Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"])
+    @pytest.mark.parametrize("indexed", ["true", "false"])
+    def test_documented_values_accepted(self, tier, indexed):
+        assert self._parse(venue_tier=tier, indexed=indexed) == self._parse()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"venue_tier": "Q9"}, "unknown venue_tier 'Q9'"),
+        ({"venue_tier": "q1"}, "unknown venue_tier 'q1'"),
+        ({"indexed": "maybe"}, "expected true or false, got 'maybe'"),
+        # several faults on one line: the first check that fails is reported
+        ({"year": "x1", "indexed": "maybe"}, "invalid literal for int() with base 10: 'x1'"),
+        ({"venue_tier": "Q9", "fwci": "zz"}, "unknown venue_tier 'Q9'"),
+        ({"authors": "a,a", "indexed": "nope"}, "expected true or false, got 'nope'"),
+    ])
+    def test_first_error_on_the_line(self, fields, message):
+        with pytest.raises(ParseError) as err:
+            self._parse(**fields)
+        assert str(err.value) == f"line 1: {message}"
+
+
 class TestParseAuthorSummaries:
     def test_top_row_of_reference_sample(self, natsci_text):
         rows = parse_author_summaries(natsci_text)
