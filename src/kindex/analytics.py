@@ -117,7 +117,7 @@ def yearly_summary(corpus: CorpusBundle) -> list[YearlySummaryRow]:
         cited = by_id[link.cited_pub]
         bucket = per_year[cited.year]
         bucket["cit"] += link.mention_count
-        if set(link.citing_authors) & set(cited.authors):
+        if not set(cited.authors).isdisjoint(link.citing_authors):
             bucket["self_cit"] += link.mention_count
         cited_ids.add(link.cited_pub)
     for pub_id in cited_ids:

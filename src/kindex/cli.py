@@ -32,6 +32,7 @@ from .ingest import (
     MAX_PRECISION,
     ParseError,
     VALUE_COLUMNS,
+    _gc_paused,
     load_config,
     parse_author_summaries,
     parse_publications,
@@ -338,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        output = args.func(args)
+        with _gc_paused():
+            output = args.func(args)
     except _Fail as exc:
         for message in exc.messages:
             print(message, file=sys.stderr)

@@ -140,11 +140,17 @@ def ringelmann_share(n_coauthors: int) -> float:
 
 def _author_metrics(
     author: AuthorId, name: str, doc: int, cit: int, h: int | None,
-    k_r: float | None, fwci: float | None, k_p: float, k_c: float,
+    k_r: float | None, role_fwci: Mapping[Role, float], k_p: float, k_c: float,
 ) -> AuthorMetrics:
-    """The indicator bundle from its inputs; K, CIT/DOC and integrated K
-    are derived here."""
+    """The indicator bundle from its inputs; the FWCI total (absent without
+    per-role values), K, CIT/DOC and integrated K are derived here."""
+    fwci = fwci_total(role_fwci) if role_fwci else None
     try:
+        if fwci == math.inf:
+            # K can still be finite when k_r < 1: sum the FWCI values at 1/8 scale.
+            eighth = sum(v / 8 for v in role_fwci.values())
+            if math.isfinite((1.0 if k_r is None else k_r) * eighth * 8 + cit_per_doc(cit, doc)):
+                raise NonFiniteIndexError("FWCI total is too large for a float")
         k_exact, k_display = k_index(k_r, fwci, cit, doc)
     except NonFiniteIndexError as exc:
         raise NonFiniteIndexError(f"author {author!r}: {exc}") from None
@@ -182,8 +188,7 @@ def compute_author_metrics(
     alphabetical = all(p.alphabetical_order for p in own)
     return _author_metrics(
         author, author, len(own), cit, h_index(a.accepted for a in audits),
-        role_dominance(profile.shares, alphabetical),
-        fwci_total(profile.role_fwci) if profile.role_fwci else None, k_p, k_c,
+        role_dominance(profile.shares, alphabetical), profile.role_fwci, k_p, k_c,
     )
 
 
@@ -207,6 +212,5 @@ def metrics_from_summary(
         )
     return _author_metrics(
         row.author, row.display_name, row.doc, row.cit, row.h_index,
-        role_dominance(row.shares) if row.shares else None,
-        fwci_total(row.role_fwci) if row.role_fwci else None, k_p, k_c,
+        role_dominance(row.shares) if row.shares else None, row.role_fwci, k_p, k_c,
     )

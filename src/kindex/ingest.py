@@ -15,6 +15,7 @@ is either accepted whole or rejected with the full list of problems.
 
 import gc
 import math
+import re
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
@@ -104,10 +105,23 @@ _VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
 
+# A cite line as dump_publications writes it: keys in _CITE_FIELDS order, no
+# "=" in a value, no empty list item, no whitespace (``\s``: what str.strip
+# removes) around a value or list item but at the line's end (a file line's
+# newline). Such a line reads the same without _parse_fields and _build_citation.
+# Use match() and compare its end: fullmatch backtracks long on a near miss.
+_VALUE = r"[^\s=](?:[^\t=]*[^\s=])?"
+_ITEMS = r"[^\s=,](?:[^\t=,]*[^\s=,])?(?:,[^\s=,](?:[^\t=,]*[^\s=,])?)*"
+_SERIALIZED_CITE = re.compile(
+    rf"type=cite\tciting_pub=({_VALUE})\tcited_pub=({_VALUE})"
+    rf"(?:\tciting_authors=({_ITEMS}))?(?:\tciting_institutions=({_ITEMS}))?"
+    r"(?:\tciting_indexed=(true|false))?(?:\tmentions=([0-9]+))?\s*"
+)
+
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector for a bulk parse.
+    """Pause the cyclic garbage collector for a bulk parse or a whole command.
 
     Parsed records hold no reference cycles, yet each allocation counts
     toward the collector's thresholds, so a large file would trigger
@@ -255,10 +269,19 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     pub_lines: dict[str, int] = {}
 
     for line_no, line in enumerate(lines, 1):
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":
-            continue
         try:
+            if (match := _SERIALIZED_CITE.match(line)) and match.end() == len(line):
+                citing, cited, authors, institutions, indexed, mentions = match.groups()
+                citations.append(CitationRecord(
+                    citing, cited, tuple(authors.split(",")) if authors else (),
+                    frozenset(institutions.split(",")) if institutions else _EMPTY,
+                    indexed != "false", int(mentions) if mentions else 1,
+                ))
+                cite_lines.append(line_no)
+                continue
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
+                continue
             fields = _parse_fields(line)
             kind = fields["type"]
             if kind == "cite":

@@ -1,3 +1,4 @@
+import gc
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, ROUND_HALF_UP, localcontext
@@ -337,6 +338,22 @@ class TestOverflow:
         assert float(cells["k_exact"]) == 5e307
         assert cells["k_display"] == str(int(5e307))
 
+    @pytest.mark.parametrize("name,text", [
+        # A is first author of one publication and last author of three.
+        ("corpus.txt", "type=pub\tpub_id=p1\tyear=2020\tauthors=A,B\tfwci=1e308\n"
+         + "".join(f"type=pub\tpub_id=p{i}\tyear=2020\tauthors=B,A\tfwci=1e308\n"
+                   for i in (2, 3, 4))),
+        ("table.tsv", "Author\tDOC\tCIT\tFA\tFWCI1\tLA\tFWCI2\nA\t4\t4\t25\t1e308\t75\t1e308\n"),
+    ])
+    def test_fwci_total_too_large_for_a_float(self, tmp_path, capsys, name, text):
+        # k_r is 1.25 / 1.75, so K (about 1.43e308) is finite; the FWCI
+        # total (2e308) is not.
+        path = tmp_path / name
+        path.write_text(text)
+        source = "--corpus" if name == "corpus.txt" else "--summary"
+        code, out, err = run(capsys, "metrics", source, str(path), "--author", "A")
+        assert (code, out, err) == (1, "", "author 'A': FWCI total is too large for a float\n")
+
     def test_mentions_past_a_float_in_yearly_and_metrics(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("type=pub\tpub_id=p1\tyear=2020\tauthors=A\n"
@@ -524,6 +541,35 @@ class TestEveryInputEndsInAnExitCode:
             self.check(["rank", "--summary", str(table), "--key", key])
         for fmt in FORMATS:
             self.check(["correlate", str(table), "--x", x, "--y", y, "--format", fmt])
+
+
+class TestCollectorPause:
+    """The cyclic GC is off while a command runs and main restores the
+    state it found, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["yearly", YEARLY_CORPUS], 0),
+        (["yearly", BAD_CORPUS], 1),
+        (["yearly", YEARLY_CORPUS, "--bogus"], 2),
+    ])
+    def test_state_is_restored(self, capsys, monkeypatch, enabled, argv, exit_code):
+        seen = []
+        summarize = kindex.cli.yearly_summary
+
+        def recording(bundle):
+            seen.append(gc.isenabled())
+            return summarize(bundle)
+
+        monkeypatch.setattr(kindex.cli, "yearly_summary", recording)
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *argv)[0] == exit_code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == ([False] if exit_code == 0 else [])
 
 
 class TestDeterminism:

@@ -1,12 +1,17 @@
 import gc
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kindex.ingest as ingest
 from kindex import (
+    CitationRecord,
     ConfigError,
+    CorpusBundle,
     ParseError,
+    PublicationRecord,
     Role,
     dump_publications,
     load_config,
@@ -397,6 +402,124 @@ class TestParsersOnArbitraryText:
         for row in rows:
             assert all(map(math.isfinite, row.shares.values()))
             assert all(map(math.isfinite, row.role_fwci.values()))
+
+
+# Ids and names with inner spaces, no-break spaces, colons and "#", but
+# nothing str.strip removes at their edges and no "," or "=".
+_NAME = st.sampled_from(["a", "b", "b c", "x:y", "é#", "a\xa0b", "#1", "p 1"])
+
+
+@st.composite
+def _bundles(draw):
+    pub_ids = draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
+    pubs = tuple(
+        PublicationRecord(pub_id, 2020, tuple(draw(st.lists(_NAME, min_size=1, max_size=3,
+                                                            unique=True))))
+        for pub_id in pub_ids
+    )
+    cites = []
+    for _ in range(draw(st.integers(1, 8))):
+        cited = draw(st.sampled_from(pub_ids))
+        cites.append(CitationRecord(
+            draw(_NAME.filter(lambda s: s != cited)), cited,
+            tuple(draw(st.lists(_NAME, min_size=1, max_size=3))),
+            frozenset(draw(st.lists(_NAME, max_size=3))),
+            draw(st.booleans()), draw(st.sampled_from([1, 2, 10, 10**30])),
+        ))
+    return CorpusBundle(pubs, tuple(cites))
+
+
+def _set_field(tokens, key, value):
+    """Replace the ``key`` token, or add it after the last token."""
+    for i, token in enumerate(tokens):
+        if token.partition("=")[0] == key:
+            tokens[i] = f"{key}={value}"
+            return
+    tokens.append(f"{key}={value}")
+
+
+# One change to a cite line: its kind, then three numbers that pick a
+# token, a place in it or another token, and a character or value.
+_CHANGE = st.tuples(
+    st.sampled_from(["order", "repeat", "drop", "unknown", "pad", "equals", "comma",
+                     "mentions", "indexed", "self"]),
+    st.integers(0, 60), st.integers(0, 60), st.integers(0, 60),
+)
+
+
+def _changed(line, changes):
+    """``line`` with each change applied: off the serializer's layout, or
+    onto a value the record rejects."""
+    tokens = line.split("\t")
+    for kind, n, m, k in changes:
+        lists = [j for j, t in enumerate(tokens)
+                 if t.startswith(("citing_authors=", "citing_institutions="))]
+        targets = lists if kind == "comma" and lists else range(len(tokens))
+        i = targets[n % len(targets)]
+        token = tokens[i]  # every token holds a "="
+        value_at = token.index("=") + 1
+        commas = [value_at + j for j, c in enumerate(token[value_at:]) if c == ","]
+        if kind == "order":
+            j = m % len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == "drop":
+            del tokens[i]
+        elif kind in ("repeat", "unknown"):
+            tokens.insert(m % (len(tokens) + 1), token if kind == "repeat" else "colour=red")
+        elif kind == "pad":  # at the edge of a key, a value or a list item
+            edges = [0, value_at - 1, value_at, len(token), *commas, *(c + 1 for c in commas)]
+            at = edges[m % len(edges)]
+            tokens[i] = token[:at] + " \x1f\xa0"[k % 3] + token[at:]
+        elif kind == "equals":
+            at = value_at + m % (len(token) - value_at + 1)
+            tokens[i] = token[:at] + "=" + token[at:]
+        elif kind == "comma":  # an empty list item at either end or between two
+            edges = [value_at, len(token), *commas]
+            at = edges[m % len(edges)]
+            tokens[i] = token[:at] + "," + token[at:]
+        elif kind == "mentions":
+            _set_field(tokens, "mentions", ["0", "-1", "007", "1_0", "\u0663"][k % 5])
+        elif kind == "indexed":
+            _set_field(tokens, "citing_indexed", ["maybe", "true"][k % 2])
+        else:
+            cited = next((t for t in tokens if t.startswith("cited_pub=")), "cited_pub=")
+            _set_field(tokens, "citing_pub", cited.partition("=")[2])
+    return "\t".join(tokens)
+
+
+def _outcome(text):
+    try:
+        return parse_publications(text)
+    except ParseError as exc:
+        return exc.issues
+
+
+class TestSerializedCiteFastPath:
+    """Cite lines in the serializer's layout are read by one pattern match;
+    every line must give the records or messages of the careful path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bundles(), st.lists(st.lists(_CHANGE, min_size=1, max_size=2), min_size=3, max_size=9))
+    def test_same_outcome_as_the_careful_path(self, bundle, changes):
+        text = dump_publications(bundle)
+        assert parse_publications(text) == bundle
+        lines = []
+        for line in text.splitlines():
+            if line.startswith("type=cite"):
+                # The serializer's own lines take the fast path; three mutants
+                # of each line replace it.
+                assert ingest._SERIALIZED_CITE.fullmatch(line)
+                lines += [_changed(line, changes[(len(lines) + t) % len(changes)])
+                          for t in range(3)]
+            else:
+                lines.append(line)
+        text = "\n".join(lines)
+        # A string, and the lines of a file, which end in a newline.
+        sources = (text, text.splitlines(keepends=True))
+        fast = [_outcome(source) for source in sources]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_SERIALIZED_CITE", re.compile("(?!)"))
+            assert [_outcome(source) for source in sources] == fast
 
 
 class TestLoadConfig:
