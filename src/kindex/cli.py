@@ -70,11 +70,24 @@ _QUANTIZE = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PRECISION)
 
 def fmt_value(value, precision: int) -> str:
     """Render one cell: '-' for absent, plain integers, and floats rounded
-    half-away-from-zero at the given number of decimal places."""
+    half-away-from-zero at the given number of decimal places.
+
+    What is rounded is ``repr(value)``, the shortest decimal that reads back
+    as the float. It lies within half a float spacing of the value, at most
+    ``scaled * 2**-53`` once scaled by ``10**precision``, and the scaling
+    errs by no more: a value farther than ``scaled * 1e-15`` from every
+    half-integer (rounding boundary) rounds like its ``repr``, so ``format``
+    rounds it. Near-ties (such as 0.125), scaled magnitudes from 5e14 up,
+    nan, inf and precisions 7..12 (zero as ``0E-7``) take Decimal.
+    """
     if value is None:
         return "-"
     if isinstance(value, int):
         return str(value)
+    if precision <= 6:
+        scaled = abs(value) * 10 ** precision
+        if abs(scaled % 1 - 0.5) > scaled * 1e-15:
+            return f"{value:.{precision}f}"
     quantum = Decimal(1).scaleb(-precision)
     return str(
         Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE)
@@ -82,13 +95,8 @@ def fmt_value(value, precision: int) -> str:
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -142,9 +150,9 @@ def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     try:
         if args.summary:
             rows = _parse_summary(args.summary)
-            metrics = [metrics_from_summary(row) for row in rows]
             if author:
-                metrics = [m for m in metrics if m.author == author]
+                rows = [row for row in rows if row.author == author]
+            metrics = [metrics_from_summary(row) for row in rows]
         else:
             bundle = _parse_corpus(args.corpus)
             if author:

@@ -393,18 +393,6 @@ def _parse_count(cell: str, column: str) -> int:
     return value
 
 
-def _parse_decimal(cell: str) -> float:
-    return float(cell.replace(",", "."))
-
-
-def _parse_share(cell: str, column: str) -> float:
-    text = cell[:-1].strip() if cell.endswith("%") else cell
-    percent = _parse_decimal(text)
-    if not 0 <= percent <= 100:
-        raise ValueError(f"{column} share {cell!r} is outside 0..100%")
-    return percent / 100.0
-
-
 @dataclass(frozen=True)
 class _SummaryLayout:
     """Cell positions of one table's columns, resolved once from its header.
@@ -504,10 +492,17 @@ def _build_summary_row(cells: list[str], layout: _SummaryLayout) -> AuthorSummar
         raise ValueError("empty Author cell")
     author = (cells[layout.id] if layout.id is not None else "") or name
 
-    h, doc, cit = (
-        None if at is None or cells[at] in _ABSENT else _parse_count(cells[at], label)
-        for at, label in layout.counts
-    )
+    counts = []
+    for at, label in layout.counts:
+        cell = "" if at is None else cells[at]
+        if cell in _ABSENT:
+            counts.append(None)
+        elif cell.isascii() and cell.isdigit() and len(cell) < 309:
+            # Below 10**308: non-negative and at most the largest double.
+            counts.append(int(cell))
+        else:
+            counts.append(_parse_count(cell, label))
+    h, doc, cit = counts
     if doc is not None and doc < 1:
         raise ValueError("DOC must be at least 1")
     if h is not None and doc is not None and h > doc:
@@ -515,28 +510,25 @@ def _build_summary_row(cells: list[str], layout: _SummaryLayout) -> AuthorSummar
 
     shares: dict[Role, float] = {}
     for at, role, label in layout.shares:
-        if cells[at] not in _ABSENT:
-            shares[role] = _parse_share(cells[at], label)
+        cell = cells[at]
+        if cell not in _ABSENT:
+            text = cell[:-1].strip() if cell.endswith("%") else cell
+            percent = float(text.replace(",", "."))
+            if not 0 <= percent <= 100:
+                raise ValueError(f"{label} share {cell!r} is outside 0..100%")
+            shares[role] = percent / 100.0
     role_fwci: dict[Role, float] = {}
     for at, role, label in layout.fwci:
         cell = cells[at]
         if cell not in _ABSENT:
-            value = _parse_decimal(cell)
+            value = float(cell.replace(",", "."))
             if value < 0:
                 raise ValueError(f"{label} must be non-negative")
             if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {cell!r}")
             role_fwci[role] = value
 
-    return AuthorSummaryRow(
-        author=author,
-        display_name=name,
-        h_index=h,
-        doc=doc,
-        cit=cit,
-        shares=shares,
-        role_fwci=role_fwci,
-    )
+    return AuthorSummaryRow(author, name, h, doc, cit, shares, role_fwci)
 
 
 # --- config files -----------------------------------------------------------

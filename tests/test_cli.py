@@ -1,5 +1,6 @@
 import gc
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from pathlib import Path
@@ -113,6 +114,19 @@ class TestMetrics:
         assert computed == ["t"]
         header, *rows = everyone.splitlines()
         assert out.splitlines() == [header, next(r for r in rows if r.startswith("t "))]
+
+    def test_author_filter_skips_other_summary_rows(self, tmp_path, capsys):
+        # B has no DOC, which fails only when B's indicators are computed.
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tDOC\tCIT\nA\t4\t10\nB\t-\t3\nA\t2\t1\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path),
+                             "--author", "A", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[:4] for line in out.splitlines()[1:]] == [
+            ["A", "A", "4", "10"], ["A", "A", "2", "1"],
+        ]
+        code, out, err = run(capsys, "metrics", "--summary", str(path), "--author", "C")
+        assert (code, out, err) == (1, "", "unknown author 'C'\n")
 
     def test_unknown_author_exits_1(self, capsys):
         code, _, err = run(capsys, "metrics", "--corpus", FILTER_CORPUS,
@@ -632,6 +646,53 @@ class TestFmtValue:
     ])
     def test_examples(self, value, precision, text):
         assert fmt_value(value, precision) == text
+
+    @pytest.mark.parametrize("value,precision,text", [
+        (-0.0, 0, "-0"),
+        (-0.0, 2, "-0.00"),
+        (0.125, 2, "0.13"),
+        (2.675, 2, "2.68"),
+        (0.005, 2, "0.01"),
+        (-0.005, 2, "-0.01"),
+        (2.5, 0, "3"),
+        (-2.5, 0, "-3"),
+        (1e-05, 2, "0.00"),
+        (1e-05, 6, "0.000010"),
+        (0.0, 6, "0.000000"),
+        (0.0, 7, "0E-7"),
+        (2.4999999999999996, 0, "2"),
+        # a tie whose float lies 1.8e-16 (relative) below it
+        (8.00035, 4, "8.0004"),
+        (2.5000000000000004, 0, "3"),
+        # around 5e14 in units of the last place kept, from where every value
+        # is quantized as a Decimal
+        (math.nextafter(5e8, 0), 6, "500000000.000000"),
+        (math.nextafter(5e8, math.inf), 6, "500000000.000000"),
+        (500000000.0000005, 6, "500000000.000001"),
+        (math.nextafter(1e9, 0), 6, "1000000000.000000"),
+        (-math.nextafter(1e9, 0), 6, "-1000000000.000000"),
+        (999999999.4999999, 6, "999999999.500000"),
+        (999999999.5, 0, "1000000000"),
+        (1e9, 6, "1000000000.000000"),
+        (math.nextafter(1e9, math.inf), 6, "1000000000.000000"),
+        # where format() of the binary value and repr() round apart
+        (8629563091.44012, 6, "8629563091.440120"),
+        (1260324346340077.2, 2, "1260324346340077.20"),
+    ])
+    def test_fast_path_boundaries(self, value, precision, text):
+        assert fmt_value(value, precision) == text
+
+    @given(st.integers(-10**13, 10**13), st.integers(0, 12))
+    def test_ties_round_away_from_zero(self, tens, precision):
+        # k / 10**(p+1) with a last digit of 5: repr(value) is that decimal,
+        # a tie at the rounding digit.
+        k = 10 * tens + (5 if tens >= 0 else -5)
+        value = k / 10 ** (precision + 1)
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            expected = Decimal(repr(value)).quantize(Decimal(10) ** -precision,
+                                                     rounding=ROUND_HALF_UP)
+        assert fmt_value(value, precision) == str(expected)
 
     def test_largest_float_at_widest_precision(self):
         text = fmt_value(1.7976931348623157e308, 12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kindex.ingest as ingest
 from kindex import (
+    AuthorSummaryRow,
     CitationRecord,
     ConfigError,
     CorpusBundle,
@@ -402,6 +403,114 @@ class TestParsersOnArbitraryText:
         for row in rows:
             assert all(map(math.isfinite, row.shares.values()))
             assert all(map(math.isfinite, row.role_fwci.values()))
+
+
+_DIGIT_RUNS = st.one_of(st.integers(1, 400), st.sampled_from([307, 308, 309, 310])).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+_COUNT_CELL = st.one_of(
+    _DIGIT_RUNS,
+    st.lists(st.text("0123456789", min_size=1, max_size=4), min_size=2, max_size=4).flatmap(
+        lambda groups: st.sampled_from([" ", "\xa0"]).map(lambda sep: sep.join(groups))),
+    st.sampled_from(["1_000", "+3", "-5", "\u0661\u0662", "\u00b2", "-", ""]),
+)
+_SHARE_CELL = st.sampled_from(["9%", " 9 %", "9,5", "101", "nan", "%", "0", "100%", "-", ""])
+_FWCI_CELL = st.sampled_from(["1,5", "-0.1", "nan", "inf", "1e400", "1_0", "0", "2.25", "-", ""])
+_ROLE_COLUMNS = (("fa", "fwci1", Role.FA), ("la", "fwci2", Role.LA), ("coa", "fwci3", Role.COA),
+                 ("cora", "fwci4", Role.CORA), ("sa", "fwci5", Role.SA))
+
+
+def _cell_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_row(columns, cells):
+    """A summary row read cell by cell as docs/formats.md describes it,
+    with every count cell through ``_parse_count``."""
+    cell = dict(zip(columns, cells))
+    if not cell["author"]:
+        raise ValueError("empty Author cell")
+    h, doc, cit = (
+        None if cell.get(c, "") in ("", "-") else ingest._parse_count(cell[c], c.upper())
+        for c in ("h", "doc", "cit")
+    )
+    if doc is not None and doc < 1:
+        raise ValueError("DOC must be at least 1")
+    if h is not None and doc is not None and h > doc:
+        raise ValueError(f"H {h} exceeds DOC {doc}")
+    shares, role_fwci = {}, {}
+    for share, _, role in _ROLE_COLUMNS:
+        text = cell.get(share, "")
+        if text not in ("", "-"):
+            percent = float((text[:-1].strip() if text.endswith("%") else text).replace(",", "."))
+            if not 0 <= percent <= 100:
+                raise ValueError(f"{share.upper()} share {text!r} is outside 0..100%")
+            shares[role] = percent / 100
+    for _, fwci, role in _ROLE_COLUMNS:
+        text = cell.get(fwci, "")
+        if text not in ("", "-"):
+            value = float(text.replace(",", "."))
+            if value < 0:
+                raise ValueError(f"{fwci.upper()} must be non-negative")
+            if not math.isfinite(value):
+                raise ValueError(f"{fwci.upper()} must be finite, got {text!r}")
+            role_fwci[role] = value
+    return AuthorSummaryRow(cell["author"], cell["author"], h, doc, cit, shares, role_fwci)
+
+
+@st.composite
+def _summary_tables(draw):
+    """(columns, rows of cells): Author and any other columns but Id, in any order."""
+    others = ["h", "doc", "cit", *(c for columns in _ROLE_COLUMNS for c in columns[:2])]
+    columns = draw(st.permutations(["author", *draw(st.lists(st.sampled_from(others),
+                                                             unique=True, max_size=6))]))
+    cell = {"author": st.sampled_from(["A", "B c", ""]),
+            **{c: _COUNT_CELL for c in ("h", "doc", "cit")},
+            **{c[0]: _SHARE_CELL for c in _ROLE_COLUMNS},
+            **{c[1]: _FWCI_CELL for c in _ROLE_COLUMNS}}
+    rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), max_size=4))
+    return columns, rows
+
+
+class TestSummaryRowsCellByCell:
+    """Counts of plain ASCII digits skip ``_parse_count``; every other cell
+    keeps its message, and whole tables read as the cell-by-cell reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["H", "CIT"]), _COUNT_CELL)
+    def test_count_cell_reads_as_parse_count(self, column, cell):
+        text = f"Author\t{column}\nA\t{cell}\n"
+        try:
+            [row] = parse_author_summaries(text)
+            got = getattr(row, "h_index" if column == "H" else "cit")
+        except ParseError as exc:
+            [issue] = exc.issues
+            got = issue.message
+        stripped = cell.strip()
+        expected = None if stripped in ("", "-") else _cell_outcome(
+            ingest._parse_count, stripped, column)
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_summary_tables())
+    def test_tables_read_as_the_reference(self, table):
+        columns, rows = table
+        text = "\n".join("\t".join(cells) for cells in [columns, *rows])
+        expected, issues = [], []
+        for line_no, cells in enumerate(rows, 2):
+            if not "".join(cells).strip():
+                continue  # a blank line
+            outcome = _cell_outcome(_reference_row, columns, [c.strip() for c in cells])
+            if isinstance(outcome, str):
+                issues.append(ingest.ParseIssue(line_no, outcome))
+            else:
+                expected.append(outcome)
+        try:
+            assert parse_author_summaries(text) == expected and not issues
+        except ParseError as exc:
+            assert exc.issues == issues
 
 
 # Ids and names with inner spaces, no-break spaces, colons and "#", but
