@@ -3,6 +3,7 @@ activity summaries."""
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -106,31 +107,26 @@ def yearly_summary(corpus: CorpusBundle) -> list[YearlySummaryRow]:
     document shares an author with the cited publication.
     """
     by_id = corpus.publications_by_id()
-    per_year: dict[int, dict[str, int]] = {}
-    for pub in corpus.publications:
-        per_year.setdefault(
-            pub.year, {"doc": 0, "cited_doc": 0, "cit": 0, "self_cit": 0}
-        )["doc"] += 1
-
+    doc = Counter(pub.year for pub in corpus.publications)
+    cit: Counter[int] = Counter()
+    self_cit: Counter[int] = Counter()
     cited_ids: set[str] = set()
     for link in corpus.citations:
         cited = by_id[link.cited_pub]
-        bucket = per_year[cited.year]
-        bucket["cit"] += link.mention_count
+        cit[cited.year] += link.mention_count
         if not set(cited.authors).isdisjoint(link.citing_authors):
-            bucket["self_cit"] += link.mention_count
+            self_cit[cited.year] += link.mention_count
         cited_ids.add(link.cited_pub)
-    for pub_id in cited_ids:
-        per_year[by_id[pub_id].year]["cited_doc"] += 1
+    cited_doc = Counter(by_id[pub_id].year for pub_id in cited_ids)
 
     return [
         YearlySummaryRow(
             year=year,
-            doc=bucket["doc"],
-            cited_doc=bucket["cited_doc"],
-            cit=bucket["cit"],
-            self_cit=bucket["self_cit"],
-            cit_per_doc=cit_per_doc(bucket["cit"], bucket["doc"]),
+            doc=doc[year],
+            cited_doc=cited_doc[year],
+            cit=cit[year],
+            self_cit=self_cit[year],
+            cit_per_doc=cit_per_doc(cit[year], doc[year]),
         )
-        for year, bucket in sorted(per_year.items())
+        for year in sorted(doc)
     ]

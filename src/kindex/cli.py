@@ -26,7 +26,6 @@ from .indices import (
     metrics_from_summary,
 )
 from .ingest import (
-    AuthorSummaryRow,
     Config,
     ConfigError,
     MAX_PRECISION,
@@ -78,20 +77,18 @@ def fmt_value(value, precision: int) -> str:
     errs by no more: a value farther than ``scaled * 1e-15`` from every
     half-integer (rounding boundary) rounds like its ``repr``, so ``format``
     rounds it. Near-ties (such as 0.125), scaled magnitudes from 5e14 up,
-    nan, inf and precisions 7..12 (zero as ``0E-7``) take Decimal.
+    nan and inf take Decimal, printed fixed-point like ``format``.
     """
     if value is None:
         return "-"
     if isinstance(value, int):
         return str(value)
-    if precision <= 6:
-        scaled = abs(value) * 10 ** precision
-        if abs(scaled % 1 - 0.5) > scaled * 1e-15:
-            return f"{value:.{precision}f}"
+    scaled = abs(value) * 10 ** precision
+    if abs(scaled % 1 - 0.5) > scaled * 1e-15:
+        return f"{value:.{precision}f}"
     quantum = Decimal(1).scaleb(-precision)
-    return str(
-        Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE)
-    )
+    rounded = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE)
+    return f"{rounded:f}"
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
@@ -131,16 +128,10 @@ def _load_settings(args) -> tuple[Config, int]:
     return config, precision
 
 
-def _parse_corpus(path: str):
+def _parse(parse, path: str):
+    """The file read by ``parse``; a ParseError fails the command with exit 1."""
     try:
-        return parse_publications(_read(path))
-    except ParseError as exc:
-        raise _Fail(1, [str(issue) for issue in exc.issues]) from None
-
-
-def _parse_summary(path: str) -> list[AuthorSummaryRow]:
-    try:
-        return parse_author_summaries(_read(path))
+        return parse(_read(path))
     except ParseError as exc:
         raise _Fail(1, [str(issue) for issue in exc.issues]) from None
 
@@ -149,20 +140,20 @@ def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     author = getattr(args, "author", None)
     try:
         if args.summary:
-            rows = _parse_summary(args.summary)
-            if author:
+            rows = _parse(parse_author_summaries, args.summary)
+            if author is not None:
                 rows = [row for row in rows if row.author == author]
             metrics = [metrics_from_summary(row) for row in rows]
         else:
-            bundle = _parse_corpus(args.corpus)
-            if author:
+            bundle = _parse(parse_publications, args.corpus)
+            if author is not None:
                 authors = [author] if author in bundle.publications_by_author else []
             else:
                 authors = sorted(bundle.publications_by_author)
             metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
     except (EmptyPortfolioError, NonFiniteIndexError) as exc:
         raise _Fail(1, [str(exc)]) from None
-    if author and not metrics:
+    if author is not None and not metrics:
         raise _Fail(1, [f"unknown author {author!r}"])
     return metrics
 
@@ -175,7 +166,7 @@ def _metric_row(m: AuthorMetrics, precision: int) -> list[str]:
 
 
 def cmd_validate(args) -> str:
-    bundle = _parse_corpus(args.corpus)
+    bundle = _parse(parse_publications, args.corpus)
     return (
         f"ok: {len(bundle.publications)} publications, "
         f"{len(bundle.citations)} citations\n"
@@ -201,22 +192,18 @@ def cmd_rank(args) -> str:
             for rank, m in table.rows
         ]
         return _render_plotdata(series)
-    header = ["rank", "author", "name", args.key]
-    if args.key != "cit_per_doc":
-        header.append("cit_per_doc")
-    rows = []
-    for rank, m in table.rows:
-        row = [str(rank), m.author, m.display_name,
-               fmt_value(getattr(m, args.key), precision)]
-        if args.key != "cit_per_doc":
-            row.append(fmt_value(m.cit_per_doc, precision))
-        rows.append(row)
-    return _render(args.format, header, rows)
+    keys = [args.key] if args.key == "cit_per_doc" else [args.key, "cit_per_doc"]
+    rows = [
+        [str(rank), m.author, m.display_name,
+         *(fmt_value(getattr(m, key), precision) for key in keys)]
+        for rank, m in table.rows
+    ]
+    return _render(args.format, ["rank", "author", "name", *keys], rows)
 
 
 def cmd_correlate(args) -> str:
     _, precision = _load_settings(args)
-    rows = _parse_summary(args.summary)
+    rows = _parse(parse_author_summaries, args.summary)
     extractors = {}
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()
@@ -258,26 +245,19 @@ def cmd_correlate(args) -> str:
 
 def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
-    bundle = _parse_corpus(args.corpus)
+    bundle = _parse(parse_publications, args.corpus)
     try:
         summary = yearly_summary(bundle)
     except NonFiniteIndexError as exc:
         raise _Fail(1, [str(exc)]) from None
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
     if args.format == "plotdata":
-        series = []
-        for column in header[1:]:
-            for row in summary:
-                series.append(
-                    (column, str(row.year),
-                     fmt_value(getattr(row, column), precision))
-                )
+        series = [
+            (column, str(row.year), fmt_value(getattr(row, column), precision))
+            for column in header[1:] for row in summary
+        ]
         return _render_plotdata(series)
-    rows = [
-        [str(r.year), str(r.doc), str(r.cited_doc), str(r.cit),
-         str(r.self_cit), fmt_value(r.cit_per_doc, precision)]
-        for r in summary
-    ]
+    rows = [[fmt_value(getattr(row, column), precision) for column in header] for row in summary]
     return _render(args.format, header, rows)
 
 

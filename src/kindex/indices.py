@@ -54,7 +54,11 @@ class AuthorMetrics:
     k_display: int
     k_p: float = 0.0
     k_c: float = 0.0
-    k_integrated: float = 0.0
+
+    @property
+    def k_integrated(self) -> float:
+        """K_i = K + K_p + K_c; set the parts with ``dataclasses.replace``."""
+        return integrated_k(self.k_exact, self.k_p, self.k_c)
 
 
 def round_half_away(value: float) -> int:
@@ -140,10 +144,10 @@ def ringelmann_share(n_coauthors: int) -> float:
 
 def _author_metrics(
     author: AuthorId, name: str, doc: int, cit: int, h: int | None,
-    k_r: float | None, role_fwci: Mapping[Role, float], k_p: float, k_c: float,
+    k_r: float | None, role_fwci: Mapping[Role, float],
 ) -> AuthorMetrics:
     """The indicator bundle from its inputs; the FWCI total (absent without
-    per-role values), K, CIT/DOC and integrated K are derived here."""
+    per-role values), K and CIT/DOC are derived here."""
     fwci = fwci_total(role_fwci) if role_fwci else None
     try:
         if fwci == math.inf:
@@ -158,7 +162,6 @@ def _author_metrics(
         author=author, display_name=name, doc=doc, cit=cit,
         cit_per_doc=cit_per_doc(cit, doc), h_index=h, k_r=k_r, fwci_total=fwci,
         k_exact=k_exact, k_display=k_display,
-        k_p=k_p, k_c=k_c, k_integrated=integrated_k(k_exact, k_p, k_c),
     )
 
 
@@ -166,8 +169,6 @@ def compute_author_metrics(
     author: AuthorId,
     corpus: CorpusBundle,
     cfg: FilterConfig | None = None,
-    k_p: float = 0.0,
-    k_c: float = 0.0,
 ) -> AuthorMetrics:
     """Full pipeline over a corpus: role profile, citation filtering and
     every indicator.
@@ -188,13 +189,11 @@ def compute_author_metrics(
     alphabetical = all(p.alphabetical_order for p in own)
     return _author_metrics(
         author, author, len(own), cit, h_index(a.accepted for a in audits),
-        role_dominance(profile.shares, alphabetical), profile.role_fwci, k_p, k_c,
+        role_dominance(profile.shares, alphabetical), profile.role_fwci,
     )
 
 
-def metrics_from_summary(
-    row: AuthorSummaryRow, k_p: float = 0.0, k_c: float = 0.0
-) -> AuthorMetrics:
+def metrics_from_summary(row: AuthorSummaryRow) -> AuthorMetrics:
     """Indicators from a pre-aggregated summary row (no filtering step).
 
     The role-dominance coefficient is computed only when the row carries
@@ -212,5 +211,5 @@ def metrics_from_summary(
         )
     return _author_metrics(
         row.author, row.display_name, row.doc, row.cit, row.h_index,
-        role_dominance(row.shares) if row.shares else None, row.role_fwci, k_p, k_c,
+        role_dominance(row.shares) if row.shares else None, row.role_fwci,
     )

@@ -568,7 +568,7 @@ def load_config(text: str) -> Config:
                 raise ConfigError(f"line {line_no}: {key}: {exc}") from None
         elif key == "precision":
             try:
-                precision = int(value)
+                precision = _parse_int(value)
             except ValueError:
                 raise ConfigError(
                     f"line {line_no}: precision must be an integer, got {value!r}"

@@ -192,26 +192,29 @@ class CorpusBundle:
         return self.publications_by_author[author]
 
 
-def classify_roles(pub: PublicationRecord) -> RoleAssignment:
-    """Assign coauthorship roles from the byline.
+def _roles_in(pub: PublicationRecord, author: AuthorId) -> tuple[Role, ...]:
+    """The roles ``author`` holds in ``pub``; ``author`` must be in the byline.
 
     Sole author -> SA. Otherwise the first byline position is FA, the last
     is LA and everyone in between is CoA (a two-author paper has no CoA).
     Corresponding authorship is added on top of the positional role.
     """
-    roles: dict[AuthorId, set[Role]] = {a: set() for a in pub.authors}
     if len(pub.authors) == 1:
-        roles[pub.authors[0]].add(Role.SA)
+        position = Role.SA
+    elif author == pub.authors[0]:
+        position = Role.FA
+    elif author == pub.authors[-1]:
+        position = Role.LA
     else:
-        roles[pub.authors[0]].add(Role.FA)
-        roles[pub.authors[-1]].add(Role.LA)
-        for middle in pub.authors[1:-1]:
-            roles[middle].add(Role.COA)
-    for author in pub.corresponding:
-        roles[author].add(Role.CORA)
+        position = Role.COA
+    return (position, Role.CORA) if author in pub.corresponding else (position,)
+
+
+def classify_roles(pub: PublicationRecord) -> RoleAssignment:
+    """Assign coauthorship roles from the byline (the rule of ``_roles_in``)."""
     return RoleAssignment(
         publication=pub.pub_id,
-        roles={a: frozenset(r) for a, r in roles.items()},
+        roles={a: frozenset(_roles_in(pub, a)) for a in pub.authors},
     )
 
 
@@ -223,16 +226,15 @@ def build_role_profile(
     if not own:
         raise NoPublicationsError(f"author {author!r} has no publications in corpus")
 
-    held: dict[Role, list[PublicationRecord]] = {r: [] for r in ROLE_ORDER}
+    held: dict[Role, list[float | None]] = {r: [] for r in ROLE_ORDER}
     for pub in own:
-        assignment = classify_roles(pub)
-        for role in assignment.roles[author]:
-            held[role].append(pub)
+        for role in _roles_in(pub, author):
+            held[role].append(pub.fwci)
 
     shares = {r: len(held[r]) / len(own) for r in ROLE_ORDER}
     role_fwci: dict[Role, float] = {}
     for role in ROLE_ORDER:
-        values = [p.fwci for p in held[role] if p.fwci is not None]
+        values = [v for v in held[role] if v is not None]
         if values:
             # The plain mean whenever its sum is finite (results stay
             # bit-identical); else divide first, so huge values keep a finite mean.

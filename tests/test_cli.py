@@ -128,6 +128,14 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", "--summary", str(path), "--author", "C")
         assert (code, out, err) == (1, "", "unknown author 'C'\n")
 
+    @pytest.mark.parametrize("kind,path", [("--corpus", FILTER_CORPUS),
+                                           ("--summary", KRATING_SUMMARY)],
+                             ids=["corpus", "summary"])
+    def test_empty_author_is_unknown(self, capsys, kind, path):
+        # Author ids are never empty, so "" matches no row.
+        assert run(capsys, "metrics", kind, path, "--author", "") == (
+            1, "", "unknown author ''\n")
+
     def test_unknown_author_exits_1(self, capsys):
         code, _, err = run(capsys, "metrics", "--corpus", FILTER_CORPUS,
                            "--author", "nobody")
@@ -636,7 +644,7 @@ class TestFmtValue:
             quantum = Decimal(10) ** -precision
             expected = exact.quantize(quantum, rounding=ROUND_HALF_UP)
             assert abs(Decimal(fmt_value(value, precision)) - exact) <= quantum / 2
-        assert fmt_value(value, precision) == str(expected)
+        assert fmt_value(value, precision) == f"{expected:f}"
 
     @pytest.mark.parametrize("value,precision,text", [
         (1e16, 12, "10000000000000000.000000000000"),
@@ -659,7 +667,7 @@ class TestFmtValue:
         (1e-05, 2, "0.00"),
         (1e-05, 6, "0.000010"),
         (0.0, 6, "0.000000"),
-        (0.0, 7, "0E-7"),
+        (0.0, 7, "0.0000000"),
         (2.4999999999999996, 0, "2"),
         # a tie whose float lies 1.8e-16 (relative) below it
         (8.00035, 4, "8.0004"),
@@ -692,7 +700,7 @@ class TestFmtValue:
             ctx.prec = 1000
             expected = Decimal(repr(value)).quantize(Decimal(10) ** -precision,
                                                      rounding=ROUND_HALF_UP)
-        assert fmt_value(value, precision) == str(expected)
+        assert fmt_value(value, precision) == f"{expected:f}"
 
     def test_largest_float_at_widest_precision(self):
         text = fmt_value(1.7976931348623157e308, 12)

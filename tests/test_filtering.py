@@ -12,8 +12,11 @@ from kindex import (
     NoPublicationsError,
     PublicationFlag,
     PublicationRecord,
+    Role,
+    RoleProfile,
     audit_export,
     build_role_profile,
+    classify_roles,
     close_associates,
     compute_author_metrics,
     filter_citations,
@@ -350,3 +353,41 @@ class TestIndexAgainstFullScan:
                     len(own), cit, h_index(a.accepted for a in audits))
                 assert (metrics.k_r, metrics.fwci_total) == (k_r, fwci)
                 assert metrics.k_exact == k_index(k_r, fwci, cit, len(own))[0]
+
+
+def byline_roles(pub: PublicationRecord, position: int) -> set[Role]:
+    """The roles of the author at ``position`` of the byline, read directly."""
+    last = len(pub.authors) - 1
+    if last == 0:
+        roles = {Role.SA}
+    else:
+        roles = {Role.FA if position == 0 else Role.LA if position == last else Role.COA}
+    if pub.authors[position] in pub.corresponding:
+        roles.add(Role.CORA)
+    return roles
+
+
+class TestRoleRule:
+    @settings(max_examples=60, deadline=None)
+    @given(small_bundles())
+    def test_classification_and_profile_follow_the_byline(self, corpus):
+        assignments = {}
+        for pub in corpus.publications:
+            assignments[pub.pub_id] = classify_roles(pub)
+            assert assignments[pub.pub_id].publication == pub.pub_id
+            assert assignments[pub.pub_id].roles == {
+                author: byline_roles(pub, i) for i, author in enumerate(pub.authors)}
+        for author in corpus.publications_by_author:
+            own = [p for p in corpus.publications if author in p.authors]
+            held = {role: [p for p in own if role in assignments[p.pub_id].roles[author]]
+                    for role in Role}
+            role_fwci = {}
+            for role, pubs in held.items():
+                values = [p.fwci for p in pubs if p.fwci is not None]
+                if values:
+                    role_fwci[role] = sum(values) / len(values)
+            assert build_role_profile(author, corpus.publications) == RoleProfile(
+                author=author,
+                shares={role: len(pubs) / len(own) for role, pubs in held.items()},
+                role_fwci=role_fwci,
+            )

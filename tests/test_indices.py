@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -252,7 +253,9 @@ class TestComputeAuthorMetrics:
                 cite("E5", "S3", ["w"]),
             ),
         )
-        m = compute_author_metrics("x", corpus, k_p=1.5, k_c=0.25)
+        m = compute_author_metrics("x", corpus)
+        assert m.k_integrated == m.k_exact
+        m = dataclasses.replace(m, k_p=1.5, k_c=0.25)
         assert m.doc == 4
         assert m.cit == 3
         assert m.h_index == 1

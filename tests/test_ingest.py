@@ -664,3 +664,9 @@ class TestLoadConfig:
     def test_comments_ignored(self):
         config = load_config("# all defaults\nprecision=3  # wide tables\n")
         assert config.precision == 3
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "3.0", "two", ""])
+    def test_precision_is_ascii_digits(self, value):
+        with pytest.raises(ConfigError) as err:
+            load_config(f"precision={value}\n")
+        assert str(err.value) == f"line 1: precision must be an integer, got {value!r}"
