@@ -31,7 +31,6 @@ from .indices import (
     compute_author_metrics,
     fwci_total,
     h_index,
-    integrated_k,
     k_index,
     metrics_from_summary,
     ringelmann_share,
@@ -98,7 +97,6 @@ __all__ = [
     "filter_citations",
     "fwci_total",
     "h_index",
-    "integrated_k",
     "k_index",
     "linear_trend",
     "load_config",

@@ -2,7 +2,8 @@
 
 Commands: validate, metrics, rank, correlate, yearly. Exit codes: 0 on
 success, 1 on validation failure, 2 on usage errors (bad flags, missing
-files, unknown columns). Output is deterministic: identical inputs and
+files, unknown columns). ``main`` is the one place that turns the library's
+errors into exit code 1. Output is deterministic: identical inputs and
 flags produce byte-identical output.
 """
 
@@ -32,6 +33,7 @@ from .ingest import (
     ParseError,
     VALUE_COLUMNS,
     _gc_paused,
+    _parse_int,
     load_config,
     parse_author_summaries,
     parse_publications,
@@ -46,6 +48,8 @@ _METRIC_COLUMNS = (
 
 
 class _Fail(Exception):
+    """A diagnostic the CLI itself decides, with its exit code."""
+
     def __init__(self, exit_code: int, messages: list[str]):
         self.exit_code = exit_code
         self.messages = messages
@@ -116,43 +120,27 @@ def _render(kind: str, header: list[str], rows: list[list[str]]) -> str:
 
 
 def _load_settings(args) -> tuple[Config, int]:
-    config = Config()
-    if args.config:
-        try:
-            config = load_config(_read(args.config))
-        except ConfigError as exc:
-            raise _Fail(1, [str(exc)]) from None
+    config = load_config(_read(args.config)) if args.config else Config()
     precision = args.precision if args.precision is not None else config.precision
     if not 0 <= precision <= MAX_PRECISION:
         raise _Fail(2, [f"--precision must be in 0..{MAX_PRECISION}, got {precision}"])
     return config, precision
 
 
-def _parse(parse, path: str):
-    """The file read by ``parse``; a ParseError fails the command with exit 1."""
-    try:
-        return parse(_read(path))
-    except ParseError as exc:
-        raise _Fail(1, [str(issue) for issue in exc.issues]) from None
-
-
 def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     author = getattr(args, "author", None)
-    try:
-        if args.summary:
-            rows = _parse(parse_author_summaries, args.summary)
-            if author is not None:
-                rows = [row for row in rows if row.author == author]
-            metrics = [metrics_from_summary(row) for row in rows]
+    if args.summary:
+        rows = parse_author_summaries(_read(args.summary))
+        if author is not None:
+            rows = [row for row in rows if row.author == author]
+        metrics = [metrics_from_summary(row) for row in rows]
+    else:
+        bundle = parse_publications(_read(args.corpus))
+        if author is not None:
+            authors = [author] if author in bundle.publications_by_author else []
         else:
-            bundle = _parse(parse_publications, args.corpus)
-            if author is not None:
-                authors = [author] if author in bundle.publications_by_author else []
-            else:
-                authors = sorted(bundle.publications_by_author)
-            metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
-    except (EmptyPortfolioError, NonFiniteIndexError) as exc:
-        raise _Fail(1, [str(exc)]) from None
+            authors = sorted(bundle.publications_by_author)
+        metrics = [compute_author_metrics(a, bundle, filters) for a in authors]
     if author is not None and not metrics:
         raise _Fail(1, [f"unknown author {author!r}"])
     return metrics
@@ -166,7 +154,7 @@ def _metric_row(m: AuthorMetrics, precision: int) -> list[str]:
 
 
 def cmd_validate(args) -> str:
-    bundle = _parse(parse_publications, args.corpus)
+    bundle = parse_publications(_read(args.corpus))
     return (
         f"ok: {len(bundle.publications)} publications, "
         f"{len(bundle.citations)} citations\n"
@@ -203,7 +191,7 @@ def cmd_rank(args) -> str:
 
 def cmd_correlate(args) -> str:
     _, precision = _load_settings(args)
-    rows = _parse(parse_author_summaries, args.summary)
+    rows = parse_author_summaries(_read(args.summary))
     extractors = {}
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()
@@ -217,17 +205,12 @@ def cmd_correlate(args) -> str:
         if x_val is not None and y_val is not None:
             pairs.append((float(x_val), float(y_val)))
     if len(pairs) < 2:
-        raise _Fail(1, ["undefined correlation: fewer than two complete pairs"])
+        raise UndefinedCorrelationError("fewer than two complete pairs")
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
-    try:
-        r = pearson(xs, ys)
-        if args.format == "plotdata":
-            slope, intercept = linear_trend(pairs)
-    except UndefinedCorrelationError as exc:
-        raise _Fail(1, [f"undefined correlation: {exc}"]) from None
-
+    r = pearson(xs, ys)  # run for plotdata too: it rejects a constant column
     if args.format == "plotdata":
+        slope, intercept = linear_trend(pairs)
         series = [
             ("points", fmt_value(x, precision), fmt_value(y, precision))
             for x, y in pairs
@@ -245,11 +228,7 @@ def cmd_correlate(args) -> str:
 
 def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
-    bundle = _parse(parse_publications, args.corpus)
-    try:
-        summary = yearly_summary(bundle)
-    except NonFiniteIndexError as exc:
-        raise _Fail(1, [str(exc)]) from None
+    summary = yearly_summary(parse_publications(_read(args.corpus)))
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
     if args.format == "plotdata":
         series = [
@@ -261,11 +240,19 @@ def cmd_yearly(args) -> str:
     return _render(args.format, header, rows)
 
 
+def _precision_flag(text: str) -> int:
+    """``--precision`` spelled as the config key ``precision`` must be."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key=value config file")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument(
-        "--precision", type=int, default=None,
+        "--precision", type=_precision_flag, default=None,
         help="decimal places for table values (default from config, else 2)",
     )
     parser.add_argument(
@@ -330,19 +317,26 @@ def main(argv: list[str] | None = None) -> int:
         with _gc_paused():
             output = args.func(args)
     except _Fail as exc:
-        for message in exc.messages:
-            print(message, file=sys.stderr)
-        return exc.exit_code
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(output)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+        exit_code, messages = exc.exit_code, exc.messages
+    except ParseError as exc:
+        exit_code, messages = 1, [str(issue) for issue in exc.issues]
+    except UndefinedCorrelationError as exc:
+        exit_code, messages = 1, [f"undefined correlation: {exc}"]
+    except (ConfigError, EmptyPortfolioError, NonFiniteIndexError) as exc:
+        exit_code, messages = 1, [str(exc)]
     else:
-        sys.stdout.write(output)
-    return 0
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(output)
+            except OSError as exc:
+                print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
+        else:
+            sys.stdout.write(output)
+        return 0
+    print(*messages, sep="\n", file=sys.stderr)
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ class AuthorMetrics:
     @property
     def k_integrated(self) -> float:
         """K_i = K + K_p + K_c; set the parts with ``dataclasses.replace``."""
-        return integrated_k(self.k_exact, self.k_p, self.k_c)
+        return self.k_exact + self.k_p + self.k_c
 
 
 def round_half_away(value: float) -> int:
@@ -127,11 +127,6 @@ def k_index(
     if not math.isfinite(exact):
         raise NonFiniteIndexError("K-index is too large for a float")
     return exact, round_half_away(exact)
-
-
-def integrated_k(k_exact: float, k_p: float, k_c: float) -> float:
-    """K plus the externally supplied patent and commercialization parts."""
-    return k_exact + k_p + k_c
 
 
 def ringelmann_share(n_coauthors: int) -> float:

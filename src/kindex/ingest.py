@@ -548,7 +548,7 @@ def load_config(text: str) -> Config:
     rejected; omitted keys keep their defaults (every filter rule on,
     precision 2)."""
     rule_values: dict[str, bool] = {}
-    precision = 2
+    precision = Config.precision
     seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import kindex.cli
 from kindex.analytics import RANK_KEYS
 from kindex.cli import FORMATS, fmt_value, main
+from kindex.ingest import ConfigError, load_config
 
 from refdata import KRATING
 
@@ -633,6 +634,33 @@ class TestPrecision:
                            "--format", "csv", "--precision", precision)
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[4] == cell
+
+    @pytest.mark.parametrize("precision", ["1_0", "+3", "\u0663"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", FILTER_CORPUS],
+        ["metrics", "--summary", KRATING_SUMMARY],
+        ["rank", "--corpus", FILTER_CORPUS],
+        ["correlate", KRATING_SUMMARY, "--x", "DOC", "--y", "CIT"],
+        ["yearly", YEARLY_CORPUS],
+    ], ids=lambda argv: argv[0])
+    def test_other_integer_spellings_exit_2(self, capsys, argv, precision):
+        code, out, err = run(capsys, *argv, "--precision", precision)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --precision: must be an integer, "
+                            f"got {precision!r}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("0123456789\u0663\uff11\u00b2\u07c3+-_aeEx"), max_size=6))
+    def test_flag_and_config_key_reject_the_same_spellings(self, text):
+        code, _, err = _run_quietly(["validate", FILTER_CORPUS, "--precision", text])
+        flag_rejects = "error: argument --precision:" in err
+        try:
+            load_config(f"precision={text}\n")
+            key_rejects = False
+        except ConfigError as exc:
+            key_rejects = "must be an integer" in str(exc)
+        assert flag_rejects == key_rejects
+        assert code == (2 if flag_rejects else 0)
 
 
 class TestFmtValue:

@@ -1,7 +1,8 @@
-"""Golden outputs: every command and format on the bundled tests/data files.
+"""Golden outputs: every command and format on the bundled tests/data files,
+plus explicit cases for the error paths.
 
-Each case runs ``kindex.cli.main`` in-process at the default precision and
-compares its exit code, stdout and stderr, byte for byte, with the file
+Each case runs ``kindex.cli.main`` in-process and compares its exit code,
+stdout and stderr, byte for byte, with the file
 ``tests/data/golden/<case>.txt``. A change meant to keep the output fixed
 must leave every case passing unedited. To write the files afresh after a
 deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
@@ -27,6 +28,27 @@ AUTHORS = {
 }
 CORRELATE_AXES = (("DOC", "CIT"), ("FA", "FWCI1"))
 
+# One case per diagnostic that ends a command with a library error or a
+# usage error the CLI decides, each on a small file made for it.
+ERROR_CASES = [
+    ["metrics", "--corpus", "corpus_filter.txt", "--config", "config_unknown_key.txt"],
+    ["yearly", "corpus_yearly.txt", "--config", "config_bad_precision.txt"],
+    ["metrics", "--summary", "summary_no_doc.tsv"],
+    ["rank", "--summary", "summary_no_doc.tsv"],
+    ["metrics", "--summary", "summary_huge_fwci.tsv"],
+    ["rank", "--summary", "summary_huge_fwci.tsv"],
+    ["yearly", "corpus_huge_mentions.txt"],
+    ["correlate", "summary_bad.tsv", "--x", "DOC", "--y", "CIT"],
+    ["correlate", "summary_constant.tsv", "--x", "H", "--y", "CIT"],
+    ["correlate", "summary_one_pair.tsv", "--x", "H", "--y", "CIT"],
+    ["correlate", "summary_one_pair.tsv", "--x", "H", "--y", "CIT", "--format", "plotdata"],
+    ["correlate", "summary_huge_trend.tsv", "--x", "FA", "--y", "FWCI1",
+     "--format", "plotdata"],
+    ["metrics", "--summary", "krating_summary.tsv", "--precision", "13"],
+    ["correlate", "krating_summary.tsv", "--x", "NOPE", "--y", "CIT"],
+]
+DATA_FILES = {path.name for path in DATA.iterdir() if path.is_file()}
+
 
 def _cases() -> list[list[str]]:
     inputs = [("--corpus", name) for name in CORPORA] + [("--summary", name) for name in SUMMARIES]
@@ -41,7 +63,7 @@ def _cases() -> list[list[str]]:
         cases += [["correlate", name, "--x", x, "--y", y, *tail]
                   for name in SUMMARIES for x, y in CORRELATE_AXES]
     cases += [["metrics", kind, name, "--author", AUTHORS[name]] for kind, name in inputs]
-    return cases
+    return cases + ERROR_CASES
 
 
 def _case_id(argv: list[str]) -> str:
@@ -50,7 +72,7 @@ def _case_id(argv: list[str]) -> str:
 
 def _run(argv: list[str]) -> str:
     """The case's exit code, stdout and stderr as one text."""
-    resolved = [str(DATA / arg) if arg in AUTHORS else arg for arg in argv]
+    resolved = [str(DATA / arg) if arg in DATA_FILES else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(resolved)

@@ -15,7 +15,6 @@ from kindex import (
     compute_author_metrics,
     fwci_total,
     h_index,
-    integrated_k,
     k_index,
     metrics_from_summary,
     ringelmann_share,
@@ -175,17 +174,25 @@ class TestRounding:
 
 
 class TestIntegratedK:
+    """``k_integrated`` of a metrics bundle whose K is ``k`` and whose
+    patent and commercialization parts are set with ``dataclasses.replace``."""
+
+    BASE = metrics_from_summary(AuthorSummaryRow("a", "A", doc=1, cit=0))
+
+    def k_integrated(self, k, k_p, k_c):
+        return dataclasses.replace(self.BASE, k_exact=k, k_p=k_p, k_c=k_c).k_integrated
+
     def test_zero_components(self):
-        assert integrated_k(58, 0, 0) == 58
+        assert self.k_integrated(58, 0, 0) == 58
 
     def test_additivity(self):
-        assert integrated_k(10, 2, 3) == 15
+        assert self.k_integrated(10, 2, 3) == 15
 
     def test_random_triples_re_added(self):
         rng = random.Random(3)
         for _ in range(100):
             k, k_p, k_c = (rng.uniform(0, 100) for _ in range(3))
-            assert integrated_k(k, k_p, k_c) == pytest.approx(k + k_p + k_c)
+            assert self.k_integrated(k, k_p, k_c) == pytest.approx(k + k_p + k_c)
 
 
 class TestRingelmannShare:
