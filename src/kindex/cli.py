@@ -11,7 +11,10 @@ import argparse
 import csv
 import io
 import sys
+from collections.abc import Iterable
 from decimal import Context, Decimal, ROUND_HALF_UP
+from itertools import repeat
+from operator import attrgetter
 
 from .analytics import (
     RANK_KEYS,
@@ -71,9 +74,9 @@ def _read(path: str) -> str:
 _QUANTIZE = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PRECISION)
 
 
-def fmt_value(value, precision: int) -> str:
-    """Render one cell: '-' for absent, plain integers, and floats rounded
-    half-away-from-zero at the given number of decimal places.
+def _fmt_column(values: Iterable[int | float | None], precision: int) -> list[str]:
+    """Render one column of cells: '-' for absent, plain integers, and
+    floats rounded half-away-from-zero at the given number of decimal places.
 
     What is rounded is ``repr(value)``, the shortest decimal that reads back
     as the float. It lies within half a float spacing of the value, at most
@@ -83,40 +86,52 @@ def fmt_value(value, precision: int) -> str:
     rounds it. Near-ties (such as 0.125), scaled magnitudes from 5e14 up,
     nan and inf take Decimal, printed fixed-point like ``format``.
     """
-    if value is None:
-        return "-"
-    if isinstance(value, int):
-        return str(value)
-    scaled = abs(value) * 10 ** precision
-    if abs(scaled % 1 - 0.5) > scaled * 1e-15:
-        return f"{value:.{precision}f}"
+    spec = f".{precision}f"
+    scale = 10 ** precision
     quantum = Decimal(1).scaleb(-precision)
-    rounded = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE)
-    return f"{rounded:f}"
+    cells = []
+    append = cells.append
+    for value in values:
+        if value is None:
+            append("-")
+        elif isinstance(value, int):
+            append(str(value))
+        elif abs((scaled := abs(value) * scale) % 1 - 0.5) > scaled * 1e-15:
+            append(format(value, spec))
+        else:
+            rounded = Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _QUANTIZE)
+            append(f"{rounded:f}")
+    return cells
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *rows)]
+def fmt_value(value, precision: int) -> str:
+    """Render one cell as ``_fmt_column`` does."""
+    return _fmt_column((value,), precision)[0]
+
+
+def _render_table(header: list[str], columns: list[list[str]]) -> str:
+    widths = [max(len(name), max(map(len, column), default=0))
+              for name, column in zip(header, columns)]
+    lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
+def _render_csv(header: list[str], columns: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
 
 
-def _render_plotdata(series: list[tuple[str, str, str]]) -> str:
+def _render_plotdata(series: Iterable[tuple[str, str, str]]) -> str:
     lines = ["series\tx\ty"]
     lines.extend(f"{name}\t{x}\t{y}" for name, x, y in series)
     return "\n".join(lines) + "\n"
 
 
-def _render(kind: str, header: list[str], rows: list[list[str]]) -> str:
-    return _render_csv(header, rows) if kind == "csv" else _render_table(header, rows)
+def _render(kind: str, header: list[str], columns: list[list[str]]) -> str:
+    return _render_csv(header, columns) if kind == "csv" else _render_table(header, columns)
 
 
 def _load_settings(args) -> tuple[Config, int]:
@@ -146,11 +161,13 @@ def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     return metrics
 
 
-def _metric_row(m: AuthorMetrics, precision: int) -> list[str]:
-    """One output row; after author and name, each column is the
-    AuthorMetrics field of the same name."""
-    return [m.author, m.display_name,
-            *(fmt_value(getattr(m, column), precision) for column in _METRIC_COLUMNS[2:])]
+def _metric_columns(
+    metrics: list[AuthorMetrics], keys: Iterable[str], precision: int,
+) -> list[list[str]]:
+    """The author and name columns, then the AuthorMetrics field named by
+    each key, formatted."""
+    return [[m.author for m in metrics], [m.display_name for m in metrics],
+            *(_fmt_column(map(attrgetter(key), metrics), precision) for key in keys)]
 
 
 def cmd_validate(args) -> str:
@@ -166,27 +183,22 @@ def cmd_metrics(args) -> str:
     if args.format == "plotdata":
         raise _Fail(2, ["metrics does not support --format plotdata"])
     metrics = _collect_metrics(args, config.filters)
-    rows = [_metric_row(m, precision) for m in metrics]
-    return _render(args.format, list(_METRIC_COLUMNS), rows)
+    columns = _metric_columns(metrics, _METRIC_COLUMNS[2:], precision)
+    return _render(args.format, list(_METRIC_COLUMNS), columns)
 
 
 def cmd_rank(args) -> str:
     config, precision = _load_settings(args)
     metrics = _collect_metrics(args, config.filters)
     table = rank_authors(metrics, args.key)
+    ranks = [str(rank) for rank, _ in table.rows]
+    ranked = [m for _, m in table.rows]
     if args.format == "plotdata":
-        series = [
-            (args.key, str(rank), fmt_value(getattr(m, args.key), precision))
-            for rank, m in table.rows
-        ]
-        return _render_plotdata(series)
+        values = _fmt_column(map(attrgetter(args.key), ranked), precision)
+        return _render_plotdata(zip(repeat(args.key), ranks, values))
     keys = [args.key] if args.key == "cit_per_doc" else [args.key, "cit_per_doc"]
-    rows = [
-        [str(rank), m.author, m.display_name,
-         *(fmt_value(getattr(m, key), precision) for key in keys)]
-        for rank, m in table.rows
-    ]
-    return _render(args.format, ["rank", "author", "name", *keys], rows)
+    columns = [ranks, *_metric_columns(ranked, keys, precision)]
+    return _render(args.format, ["rank", "author", "name", *keys], columns)
 
 
 def cmd_correlate(args) -> str:
@@ -211,33 +223,32 @@ def cmd_correlate(args) -> str:
     r = pearson(xs, ys)  # run for plotdata too: it rejects a constant column
     if args.format == "plotdata":
         slope, intercept = linear_trend(pairs)
-        series = [
-            ("points", fmt_value(x, precision), fmt_value(y, precision))
-            for x, y in pairs
-        ]
+        series = list(zip(repeat("points"), _fmt_column(xs, precision), _fmt_column(ys, precision)))
+        # One trend point per distinct x, so few cells: each goes through
+        # fmt_value, which keeps perfbench's cli.fmt tally counting calls.
         series.extend(
-            ("trend", fmt_value(x, precision),
-             fmt_value(slope * x + intercept, precision))
+            ("trend", fmt_value(x, precision), fmt_value(slope * x + intercept, precision))
             for x in sorted(set(xs))
         )
         return _render_plotdata(series)
     header = ["x", "y", "n", "r"]
-    row = [args.x, args.y, str(len(pairs)), fmt_value(r, max(precision, 4))]
-    return _render(args.format, header, [row])
+    columns = [[args.x], [args.y], [str(len(pairs))], [fmt_value(r, max(precision, 4))]]
+    return _render(args.format, header, columns)
 
 
 def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
     summary = yearly_summary(parse_publications(_read(args.corpus)))
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
+    columns = [_fmt_column(map(attrgetter(column), summary), precision) for column in header]
     if args.format == "plotdata":
-        series = [
-            (column, str(row.year), fmt_value(getattr(row, column), precision))
-            for column in header[1:] for row in summary
-        ]
-        return _render_plotdata(series)
-    rows = [[fmt_value(getattr(row, column), precision) for column in header] for row in summary]
-    return _render(args.format, header, rows)
+        years = columns[0]
+        return _render_plotdata(
+            (name, year, cell)
+            for name, column in zip(header[1:], columns[1:])
+            for year, cell in zip(years, column)
+        )
+    return _render(args.format, header, columns)
 
 
 def _precision_flag(text: str) -> int:
@@ -259,6 +270,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--format", choices=FORMATS, default="table",
         help="output format (default: table)",
     )
+    # main rejects ``--flag=--`` (argparse reads it as []) with this usage.
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _add_input_group(parser: argparse.ArgumentParser) -> None:
@@ -310,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads ``--flag=--`` as []
+                args.usage_error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -28,6 +28,8 @@ from .model import AuthorId, CorpusBundle, NoPublicationsError, Role, ROLE_ORDER
 
 WINNING_ROLES = (Role.FA, Role.CORA, Role.SA)
 LOSING_ROLES = (Role.COA, Role.LA)
+# The default of each role slot, for ``sum(map(mapping.get, roles, _ZEROS))``.
+_ZEROS = (0.0,) * len(ROLE_ORDER)
 
 
 class EmptyPortfolioError(ValueError):
@@ -99,15 +101,15 @@ def role_dominance(
     """
     if alphabetical:
         return 1.0
-    winning = sum(shares.get(r, 0.0) for r in WINNING_ROLES)
-    losing = sum(shares.get(r, 0.0) for r in LOSING_ROLES)
+    winning = sum(map(shares.get, WINNING_ROLES, _ZEROS))
+    losing = sum(map(shares.get, LOSING_ROLES, _ZEROS))
     return (1.0 + winning) / (1.0 + losing)
 
 
 def fwci_total(role_fwci: Mapping[Role, float]) -> float:
     """Sum of the per-role mean FWCI values over all five role slots;
     missing slots contribute 0."""
-    return sum(role_fwci.get(r, 0.0) for r in ROLE_ORDER)
+    return sum(map(role_fwci.get, ROLE_ORDER, _ZEROS))
 
 
 def k_index(
@@ -154,9 +156,7 @@ def _author_metrics(
     except NonFiniteIndexError as exc:
         raise NonFiniteIndexError(f"author {author!r}: {exc}") from None
     return AuthorMetrics(
-        author=author, display_name=name, doc=doc, cit=cit,
-        cit_per_doc=cit_per_doc(cit, doc), h_index=h, k_r=k_r, fwci_total=fwci,
-        k_exact=k_exact, k_display=k_display,
+        author, name, doc, cit, cit_per_doc(cit, doc), h, k_r, fwci, k_exact, k_display,
     )
 
 

@@ -137,6 +137,18 @@ def _gc_paused():
             gc.enable()
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text`` split at LF, CR LF and lone CR only, as a file
+    opened in text mode splits them: ``str.splitlines`` would also end a
+    line at characters such as form feed, U+0085 and U+2028."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _parse_bool(value: str) -> bool:
     if value == "true":
         return True
@@ -261,7 +273,7 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     Raises ParseError carrying every line-numbered problem found; nothing
     is silently dropped.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = _split_lines(source) if isinstance(source, str) else source
     issues: list[ParseIssue] = []
     publications: list[PublicationRecord] = []
     citations: list[CitationRecord] = []
@@ -433,7 +445,7 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     """
     lines = [
         (no, line)
-        for no, line in enumerate(text.splitlines(), 1)
+        for no, line in enumerate(_split_lines(text), 1)
         if (stripped := line.lstrip()) and stripped[0] != "#"
     ]
     if not lines:
@@ -458,7 +470,7 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
     for line_no, line in lines[1:]:
-        cells = [c.strip() for c in line.split(delim)]
+        cells = list(map(str.strip, line.split(delim)))
         if len(cells) > width:
             issues.append(
                 ParseIssue(line_no, f"{len(cells)} cells for {width} columns")
@@ -550,7 +562,7 @@ def load_config(text: str) -> Config:
     rule_values: dict[str, bool] = {}
     precision = Config.precision
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_split_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

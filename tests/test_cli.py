@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kindex.cli
 from kindex.analytics import RANK_KEYS
-from kindex.cli import FORMATS, fmt_value, main
-from kindex.ingest import ConfigError, load_config
+from kindex.cli import FORMATS, _fmt_column, fmt_value, main
+from kindex.ingest import ConfigError, ParseError, load_config, parse_publications
 
 from refdata import KRATING
 
@@ -663,6 +664,41 @@ class TestPrecision:
         assert code == (2 if flag_rejects else 0)
 
 
+# Values around the limits of fmt_value's format() path, with their text.
+_FAST_PATH_BOUNDARIES = [
+    (-0.0, 0, "-0"),
+    (-0.0, 2, "-0.00"),
+    (0.125, 2, "0.13"),
+    (2.675, 2, "2.68"),
+    (0.005, 2, "0.01"),
+    (-0.005, 2, "-0.01"),
+    (2.5, 0, "3"),
+    (-2.5, 0, "-3"),
+    (1e-05, 2, "0.00"),
+    (1e-05, 6, "0.000010"),
+    (0.0, 6, "0.000000"),
+    (0.0, 7, "0.0000000"),
+    (2.4999999999999996, 0, "2"),
+    # a tie whose float lies 1.8e-16 (relative) below it
+    (8.00035, 4, "8.0004"),
+    (2.5000000000000004, 0, "3"),
+    # around 5e14 in units of the last place kept, from where every value
+    # is quantized as a Decimal
+    (math.nextafter(5e8, 0), 6, "500000000.000000"),
+    (math.nextafter(5e8, math.inf), 6, "500000000.000000"),
+    (500000000.0000005, 6, "500000000.000001"),
+    (math.nextafter(1e9, 0), 6, "1000000000.000000"),
+    (-math.nextafter(1e9, 0), 6, "-1000000000.000000"),
+    (999999999.4999999, 6, "999999999.500000"),
+    (999999999.5, 0, "1000000000"),
+    (1e9, 6, "1000000000.000000"),
+    (math.nextafter(1e9, math.inf), 6, "1000000000.000000"),
+    # where format() of the binary value and repr() round apart
+    (8629563091.44012, 6, "8629563091.440120"),
+    (1260324346340077.2, 2, "1260324346340077.20"),
+]
+
+
 class TestFmtValue:
     @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 12))
     def test_matches_reference_decimal(self, value, precision):
@@ -683,38 +719,7 @@ class TestFmtValue:
     def test_examples(self, value, precision, text):
         assert fmt_value(value, precision) == text
 
-    @pytest.mark.parametrize("value,precision,text", [
-        (-0.0, 0, "-0"),
-        (-0.0, 2, "-0.00"),
-        (0.125, 2, "0.13"),
-        (2.675, 2, "2.68"),
-        (0.005, 2, "0.01"),
-        (-0.005, 2, "-0.01"),
-        (2.5, 0, "3"),
-        (-2.5, 0, "-3"),
-        (1e-05, 2, "0.00"),
-        (1e-05, 6, "0.000010"),
-        (0.0, 6, "0.000000"),
-        (0.0, 7, "0.0000000"),
-        (2.4999999999999996, 0, "2"),
-        # a tie whose float lies 1.8e-16 (relative) below it
-        (8.00035, 4, "8.0004"),
-        (2.5000000000000004, 0, "3"),
-        # around 5e14 in units of the last place kept, from where every value
-        # is quantized as a Decimal
-        (math.nextafter(5e8, 0), 6, "500000000.000000"),
-        (math.nextafter(5e8, math.inf), 6, "500000000.000000"),
-        (500000000.0000005, 6, "500000000.000001"),
-        (math.nextafter(1e9, 0), 6, "1000000000.000000"),
-        (-math.nextafter(1e9, 0), 6, "-1000000000.000000"),
-        (999999999.4999999, 6, "999999999.500000"),
-        (999999999.5, 0, "1000000000"),
-        (1e9, 6, "1000000000.000000"),
-        (math.nextafter(1e9, math.inf), 6, "1000000000.000000"),
-        # where format() of the binary value and repr() round apart
-        (8629563091.44012, 6, "8629563091.440120"),
-        (1260324346340077.2, 2, "1260324346340077.20"),
-    ])
+    @pytest.mark.parametrize("value,precision,text", _FAST_PATH_BOUNDARIES)
     def test_fast_path_boundaries(self, value, precision, text):
         assert fmt_value(value, precision) == text
 
@@ -741,3 +746,178 @@ class TestFmtValue:
         code, out, err = run(capsys, "metrics", "--summary", str(path), "--format", "csv")
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[4] == f"{10 ** 40}.00"
+
+
+def _reference_cell(value, precision):
+    """One cell as documented, with Decimal: '-' for absent, an int as
+    ``str``, a float's ``repr`` rounded half away from zero."""
+    if value is None:
+        return "-"
+    if isinstance(value, int):
+        return str(value)
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        rounded = Decimal(repr(value)).quantize(Decimal(10) ** -precision, rounding=ROUND_HALF_UP)
+    return f"{rounded:f}"
+
+
+def _tie(tens, precision):
+    """k / 10**(p+1) with a last digit of 5: a tie at the rounding digit."""
+    return (10 * tens + (5 if tens >= 0 else -5)) / 10 ** (precision + 1)
+
+
+class TestFmtColumn:
+    """The TestFmtValue properties through ``_fmt_column``, on columns that
+    mix absent cells, ints and floats: one column shares its format spec
+    and scale across cells, and must still match ``fmt_value`` cell by cell."""
+
+    @given(st.lists(st.one_of(st.none(), st.integers(-10**20, 10**20),
+                              st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
+           st.integers(0, 12))
+    def test_matches_reference_decimal(self, values, precision):
+        cells = _fmt_column(values, precision)
+        assert cells == [_reference_cell(v, precision) for v in values]
+        assert cells == [fmt_value(v, precision) for v in values]
+
+    @given(st.lists(st.one_of(st.none(), st.integers(-10**6, 10**6),
+                              st.tuples(st.integers(-10**13, 10**13))), max_size=12),
+           st.integers(0, 12))
+    def test_ties_round_away_from_zero(self, drawn, precision):
+        # a 1-tuple stands for the tie built from its number at this precision
+        values = [_tie(v[0], precision) if isinstance(v, tuple) else v for v in drawn]
+        cells = _fmt_column(values, precision)
+        assert cells == [_reference_cell(v, precision) for v in values]
+        assert cells == [fmt_value(v, precision) for v in values]
+
+    @pytest.mark.parametrize("precision", sorted({p for _, p, _ in _FAST_PATH_BOUNDARIES}))
+    def test_fast_path_boundaries(self, precision):
+        cases = [(value, text) for value, p, text in _FAST_PATH_BOUNDARIES if p == precision]
+        values = [None, 7, *(value for value, _ in cases), 2**70, None]
+        expected = ["-", "7", *(text for _, text in cases), str(2**70), "-"]
+        assert _fmt_column(values, precision) == expected
+        assert _fmt_column(iter(values), precision) == expected
+
+    def test_empty_column(self):
+        assert _fmt_column([], 2) == []
+
+
+# Each subcommand's required positional arguments and flags, and the
+# options that take a value.
+_COMMAND_ARGS = {
+    "validate": ([FILTER_CORPUS], {}),
+    "metrics": ([], {"summary": KRATING_SUMMARY}),
+    "rank": ([], {"summary": KRATING_SUMMARY}),
+    "correlate": ([KRATING_SUMMARY], {"x": "H", "y": "CIT"}),
+    "yearly": ([YEARLY_CORPUS], {}),
+}
+_COMMON_OPTIONS = ["config", "out", "precision", "format"]
+_VALUE_OPTIONS = {
+    "validate": _COMMON_OPTIONS,
+    "metrics": ["corpus", "summary", "author", *_COMMON_OPTIONS],
+    "rank": ["corpus", "summary", "key", *_COMMON_OPTIONS],
+    "correlate": ["x", "y", *_COMMON_OPTIONS],
+    "yearly": _COMMON_OPTIONS,
+}
+
+
+def _argv_without(command, option):
+    """The command and its required arguments, leaving out ``--option``
+    (and for an input file, both flags of the input group)."""
+    positional, flags = _COMMAND_ARGS[command]
+    left_out = {"corpus", "summary"} if option in ("corpus", "summary") else {option}
+    return [command, *positional,
+            *(arg for name, value in flags.items() if name not in left_out
+              for arg in (f"--{name}", value))]
+
+
+class TestDoubleDashValue:
+    """``--flag=--`` is a missing value: argparse drops the ``--`` and would
+    hand the command an empty list."""
+
+    @pytest.mark.parametrize("command,option", [
+        (command, option) for command, options in _VALUE_OPTIONS.items() for option in options
+    ])
+    def test_exits_2_like_a_missing_value(self, capsys, command, option):
+        argv = _argv_without(command, option)
+        missing = run(capsys, *argv, f"--{option}")
+        code, out, err = run(capsys, *argv, f"--{option}=--")
+        assert (code, out, err) == missing
+        assert code == 2 and out == ""
+        assert err.endswith(f"kindex {command}: error: argument --{option}: "
+                            "expected one argument\n")
+        assert err.startswith(f"usage: kindex {command} ")
+
+    @pytest.mark.parametrize("command", _VALUE_OPTIONS)
+    def test_every_value_option_is_listed(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert sorted(re.findall(r"--(\w+) [A-Z{]", usage)) == sorted(_VALUE_OPTIONS[command])
+
+
+# Characters that str.splitlines() treats as line ends, but a file opened in
+# text mode (and docs/formats.md) does not.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+
+
+class TestOnlyLfCrLfAndCrEndLines:
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])
+    def test_corpus_value(self, tmp_path, capsys, char, bad):
+        path = tmp_path / "corpus.txt"
+        path.write_text(
+            "# comment\n"
+            f"type=pub\tpub_id=p1\tyear=2020\tauthors=a,b\tinstitutions=a:Inst{char}X\n"
+            f"type=cite\tciting_pub=q{char}1\tcited_pub=p1\tciting_institutions=I{char}J\n"
+            f"type=cite\tciting_pub=q2\tcited_pub=p1\tciting_authors=c {char} d\n"
+            + ("type=pub\tpub_id=p1\tyear=2021\tauthors=a\n" if bad else ""),
+            encoding="utf-8", newline="\n")
+        code, out, err = run(capsys, "validate", str(path))
+        try:
+            with open(path, encoding="utf-8") as handle:
+                bundle = parse_publications(handle)
+        except ParseError as exc:
+            assert (code, out) == (1, "")
+            assert err == "".join(f"{issue}\n" for issue in exc.issues)
+            assert err == "line 5: duplicate pub_id 'p1' (first seen on line 2)\n"
+        else:
+            assert not bad
+            assert (code, out, err) == (0, "ok: 1 publications, 2 citations\n", "")
+            assert parse_publications(path.read_text(encoding="utf-8")) == bundle
+            assert bundle.publications[0].institution_by_author == {"a": f"Inst{char}X"}
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_summary_cell(self, tmp_path, capsys, char):
+        path = tmp_path / "summary.tsv"
+        text = f"Author\tDOC\tCIT\nA{char}B\t2\t3\n#{char}\tnot a row\n"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1].startswith(f"A{char}B,A{char}B,2,3,1.50,")
+        path.write_text(text + "C\t0\t1\n", encoding="utf-8", newline="\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path))
+        assert (code, out, err) == (1, "", "line 4: DOC must be at least 1\n")
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_config_comment(self, tmp_path, capsys, char):
+        path = tmp_path / "config.txt"
+        text = f"# note{char}precision=oops\nprecision=3 # x{char}y\n"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        code, out, err = run(capsys, "metrics", "--summary", KRATING_SUMMARY,
+                             "--config", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1].split(",")[4] == "51.830"
+        path.write_text(text + "bogus\n", encoding="utf-8", newline="\n")
+        code, out, err = run(capsys, "metrics", "--summary", KRATING_SUMMARY,
+                             "--config", str(path))
+        assert (code, out, err) == (1, "", "line 3: expected key=value, got 'bogus'\n")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends_split_like_an_open_file(self, tmp_path, ending):
+        text = ("type=pub\tpub_id=p1\tyear=2020\tauthors=a\n\n"
+                "type=cite\tciting_pub=q\tcited_pub=p1\n").replace("\n", ending)
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            assert parse_publications(text) == parse_publications(handle)
+        unterminated = parse_publications(text + "type=cite\tciting_pub=r\tcited_pub=p1")
+        assert [c.citing_pub for c in unterminated.citations] == ["q", "r"]

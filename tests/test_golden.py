@@ -47,6 +47,19 @@ ERROR_CASES = [
     ["metrics", "--summary", "krating_summary.tsv", "--precision", "13"],
     ["correlate", "krating_summary.tsv", "--x", "NOPE", "--y", "CIT"],
 ]
+# Share and FWCI cells written as -0, -0,0 and -0%, one row with every
+# FWCI cell -0: the printed zeros keep whatever sign the sums give them.
+NEGATIVE_ZERO_CASES = [
+    *(["metrics", "--summary", "summary_negative_zero.tsv", "--format", fmt]
+      for fmt in ("table", "csv")),
+    ["metrics", "--summary", "summary_negative_zero.tsv", "--precision", "0"],
+    *(["rank", "--summary", "summary_negative_zero.tsv", "--key", "k_exact", "--format", fmt]
+      for fmt in FORMATS),
+    ["correlate", "summary_negative_zero.tsv", "--x", "FA", "--y", "FWCI1",
+     "--format", "plotdata"],
+    ["correlate", "summary_negative_zero.tsv", "--x", "FWCI3", "--y", "CIT",
+     "--format", "plotdata"],
+]
 DATA_FILES = {path.name for path in DATA.iterdir() if path.is_file()}
 
 
@@ -63,7 +76,7 @@ def _cases() -> list[list[str]]:
         cases += [["correlate", name, "--x", x, "--y", y, *tail]
                   for name in SUMMARIES for x, y in CORRELATE_AXES]
     cases += [["metrics", kind, name, "--author", AUTHORS[name]] for kind, name in inputs]
-    return cases + ERROR_CASES
+    return cases + ERROR_CASES + NEGATIVE_ZERO_CASES
 
 
 def _case_id(argv: list[str]) -> str:
