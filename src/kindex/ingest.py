@@ -105,17 +105,34 @@ _VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
 
-# A cite line as dump_publications writes it: keys in _CITE_FIELDS order, no
-# "=" in a value, no empty list item, no whitespace (``\s``: what str.strip
-# removes) around a value or list item but at the line's end (a file line's
-# newline). Such a line reads the same without _parse_fields and _build_citation.
+# A cite or pub line as dump_publications writes it: keys in _CITE_FIELDS or
+# _PUB_FIELDS order, no "=" in a value, no empty list item, no whitespace
+# (``\s``: what str.strip removes) around a value or list item but at the
+# line's end (a file line's newline). A pub line may also hold venue_tier and
+# indexed (perfbench/gen.py writes both), its year is ASCII digits after an
+# optional "-", its fwci is spelled as repr() writes a float (float() reads
+# both paths alike, and the record rejects a negative one), its flags are
+# PublicationFlag values, and its institution pairs have no whitespace next
+# to their first ":". Such a line reads the same without _parse_fields and
+# _build_citation or _build_publication.
 # Use match() and compare its end: fullmatch backtracks long on a near miss.
 _VALUE = r"[^\s=](?:[^\t=]*[^\s=])?"
-_ITEMS = r"[^\s=,](?:[^\t=,]*[^\s=,])?(?:,[^\s=,](?:[^\t=,]*[^\s=,])?)*"
+_ITEM = r"[^\s=,](?:[^\t=,]*[^\s=,])?"
+_ITEMS = rf"{_ITEM}(?:,{_ITEM})*"
 _SERIALIZED_CITE = re.compile(
     rf"type=cite\tciting_pub=({_VALUE})\tcited_pub=({_VALUE})"
     rf"(?:\tciting_authors=({_ITEMS}))?(?:\tciting_institutions=({_ITEMS}))?"
     r"(?:\tciting_indexed=(true|false))?(?:\tmentions=([0-9]+))?\s*"
+)
+_TIER = "|".join(sorted(_VENUE_TIERS))
+_FLAG = "|".join(flag.value for flag in PublicationFlag)
+_INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
+_SERIALIZED_PUB = re.compile(
+    rf"type=pub\tpub_id=({_VALUE})\tyear=(-?[0-9]+)\tauthors=({_ITEMS})"
+    rf"(?:\tcorresponding=({_ITEMS}))?(?:\tvenue_tier=(?:{_TIER}))?"
+    r"(?:\tfwci=(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?))?(?:\tindexed=(?:true|false))?"
+    rf"(?:\talphabetical=(true|false))?(?:\tflags=((?:{_FLAG})(?:,(?:{_FLAG}))*))?"
+    rf"(?:\tinstitutions=({_INSTITUTION}(?:,{_INSTITUTION})*))?\s*"
 )
 
 
@@ -279,37 +296,57 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     citations: list[CitationRecord] = []
     cite_lines: list[int] = []
     pub_lines: dict[str, int] = {}
+    # One tuple or set per distinct list text on the cite fast path: citing
+    # bylines repeat across links, and shared values keep the corpus smaller.
+    author_tuples: dict[str | None, tuple[AuthorId, ...]] = {None: ()}
+    institution_sets: dict[str | None, frozenset[str]] = {None: _EMPTY}
 
     for line_no, line in enumerate(lines, 1):
         try:
             if (match := _SERIALIZED_CITE.match(line)) and match.end() == len(line):
                 citing, cited, authors, institutions, indexed, mentions = match.groups()
+                if (citing_authors := author_tuples.get(authors)) is None:
+                    citing_authors = author_tuples[authors] = tuple(authors.split(","))
+                if (citing_institutions := institution_sets.get(institutions)) is None:
+                    citing_institutions = institution_sets[institutions] = frozenset(
+                        institutions.split(","))
                 citations.append(CitationRecord(
-                    citing, cited, tuple(authors.split(",")) if authors else (),
-                    frozenset(institutions.split(",")) if institutions else _EMPTY,
+                    citing, cited, citing_authors, citing_institutions,
                     indexed != "false", int(mentions) if mentions else 1,
                 ))
                 cite_lines.append(line_no)
                 continue
-            stripped = line.lstrip()
-            if not stripped or stripped[0] == "#":
-                continue
-            fields = _parse_fields(line)
-            kind = fields["type"]
-            if kind == "cite":
-                citations.append(_build_citation(fields))
-                cite_lines.append(line_no)
-            elif kind == "pub":
-                record = _build_publication(fields)
-                if record.pub_id in pub_lines:
-                    raise ValueError(
-                        f"duplicate pub_id {record.pub_id!r} "
-                        f"(first seen on line {pub_lines[record.pub_id]})"
-                    )
-                pub_lines[record.pub_id] = line_no
-                publications.append(record)
+            if (match := _SERIALIZED_PUB.match(line)) and match.end() == len(line):
+                (pub_id, year, authors, corresponding, fwci, alphabetical, flags,
+                 institutions) = match.groups()
+                record = PublicationRecord(
+                    pub_id, int(year), tuple(authors.split(",")),
+                    frozenset(corresponding.split(",")) if corresponding else _EMPTY,
+                    float(fwci) if fwci else None, alphabetical == "true",
+                    frozenset(map(PublicationFlag, flags.split(","))) if flags else _EMPTY,
+                    dict(pair.split(":", 1) for pair in institutions.split(","))
+                    if institutions else {},
+                )
             else:
-                raise ValueError(f"unknown record type {kind!r}")
+                stripped = line.lstrip()
+                if not stripped or stripped[0] == "#":
+                    continue
+                fields = _parse_fields(line)
+                kind = fields["type"]
+                if kind == "cite":
+                    citations.append(_build_citation(fields))
+                    cite_lines.append(line_no)
+                    continue
+                if kind != "pub":
+                    raise ValueError(f"unknown record type {kind!r}")
+                record = _build_publication(fields)
+            if record.pub_id in pub_lines:
+                raise ValueError(
+                    f"duplicate pub_id {record.pub_id!r} "
+                    f"(first seen on line {pub_lines[record.pub_id]})"
+                )
+            pub_lines[record.pub_id] = line_no
+            publications.append(record)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
 

@@ -3,13 +3,22 @@
 Everything here is an immutable value object; the two operations
 (classify_roles, build_role_profile) are pure functions, so they are safe
 to evaluate in parallel across authors or publications.
+
+PublicationRecord and CitationRecord are validated immutable tuples
+(named-tuple subclasses), which are much cheaper to build than frozen
+dataclasses. Their constructor checks the record rules; ``_replace`` and
+``_make`` go through the same checks, so change a field with
+``record._replace(...)``, not ``dataclasses.replace``. A record can be
+iterated and indexed and compares equal to a plain tuple of the same
+values.
 """
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 AuthorId = str
 
@@ -41,57 +50,95 @@ class NoPublicationsError(LookupError):
     """The requested author has no publications in the corpus."""
 
 
-@dataclass(frozen=True, eq=True, slots=True)
-class PublicationRecord:
+class _PublicationFields(NamedTuple):
+    pub_id: str
+    year: int
+    authors: tuple[AuthorId, ...]
+    corresponding: frozenset[AuthorId]
+    fwci: float | None
+    alphabetical_order: bool
+    flags: frozenset[PublicationFlag]
+    institution_by_author: Mapping[AuthorId, str]
+
+
+class _CitationFields(NamedTuple):
+    citing_pub: str
+    cited_pub: str
+    citing_authors: tuple[AuthorId, ...]
+    citing_institutions: frozenset[str]
+    citing_indexed: bool
+    mention_count: int
+
+
+_tuple_new = tuple.__new__
+
+
+def _checked_make(cls, iterable):
+    """``_make``, and so ``_replace``, through the checking constructor."""
+    return cls(*iterable)
+
+
+class PublicationRecord(_PublicationFields):
     """One indexed publication.
 
     ``authors`` preserves byline order (position 1 = first author).
     ``fwci`` is the publication's field-weighted citation impact, or None
-    when the source database reports none. Construction raises
-    MalformedRecordError for a record breaking the rules of docs/formats.md.
+    when the source database reports none. ``institution_by_author`` left
+    out or None gives a new empty dict. Construction raises MalformedRecordError
+    for a record breaking the rules of docs/formats.md.
     """
 
-    pub_id: str
-    year: int
-    authors: tuple[AuthorId, ...]
-    corresponding: frozenset[AuthorId] = frozenset()
-    fwci: float | None = None
-    alphabetical_order: bool = False
-    flags: frozenset[PublicationFlag] = frozenset()
-    institution_by_author: Mapping[AuthorId, str] = field(default_factory=dict)
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if not self.pub_id:
+    def __new__(
+        cls,
+        pub_id: str,
+        year: int,
+        authors: tuple[AuthorId, ...],
+        corresponding: frozenset[AuthorId] = frozenset(),
+        fwci: float | None = None,
+        alphabetical_order: bool = False,
+        flags: frozenset[PublicationFlag] = frozenset(),
+        institution_by_author: Mapping[AuthorId, str] | None = None,
+    ) -> "PublicationRecord":
+        if not pub_id:
             raise MalformedRecordError("publication has empty pub_id")
-        if not self.authors:
-            raise MalformedRecordError(f"publication {self.pub_id!r} has no authors")
-        byline = set(self.authors)
-        if len(byline) != len(self.authors):
+        if not authors:
+            raise MalformedRecordError(f"publication {pub_id!r} has no authors")
+        byline = set(authors)
+        if len(byline) != len(authors):
             raise MalformedRecordError(
-                f"publication {self.pub_id!r} has a duplicate author in the byline"
+                f"publication {pub_id!r} has a duplicate author in the byline"
             )
-        if not self.corresponding <= byline:
+        if not corresponding <= byline:
             raise MalformedRecordError(
-                f"publication {self.pub_id!r}: corresponding authors "
-                f"{sorted(self.corresponding - byline)} are not in the byline"
+                f"publication {pub_id!r}: corresponding authors "
+                f"{sorted(corresponding - byline)} are not in the byline"
             )
-        if self.fwci is not None and self.fwci < 0:
+        if fwci is not None:
+            if fwci < 0:
+                raise MalformedRecordError(
+                    f"publication {pub_id!r} has negative fwci {fwci}"
+                )
+            if not math.isfinite(fwci):
+                raise MalformedRecordError(
+                    f"publication {pub_id!r} has non-finite fwci {fwci}"
+                )
+        if institution_by_author is None:
+            institution_by_author = {}
+        elif not institution_by_author.keys() <= byline:
             raise MalformedRecordError(
-                f"publication {self.pub_id!r} has negative fwci {self.fwci}"
+                f"publication {pub_id!r}: institutions listed for "
+                f"non-authors {sorted(institution_by_author.keys() - byline)}"
             )
-        if self.fwci is not None and not math.isfinite(self.fwci):
-            raise MalformedRecordError(
-                f"publication {self.pub_id!r} has non-finite fwci {self.fwci}"
-            )
-        if not self.institution_by_author.keys() <= byline:
-            raise MalformedRecordError(
-                f"publication {self.pub_id!r}: institutions listed for "
-                f"non-authors {sorted(self.institution_by_author.keys() - byline)}"
-            )
+        return _tuple_new(cls, (
+            pub_id, year, authors, corresponding, fwci, alphabetical_order, flags,
+            institution_by_author,
+        ))
 
 
-@dataclass(frozen=True, eq=True, slots=True)
-class CitationRecord:
+class CitationRecord(_CitationFields):
     """One citing-document -> cited-document link.
 
     The citing document may be external to the corpus, so its authors,
@@ -101,23 +148,29 @@ class CitationRecord:
     or a ``mention_count`` below 1.
     """
 
-    citing_pub: str
-    cited_pub: str
-    citing_authors: tuple[AuthorId, ...] = ()
-    citing_institutions: frozenset[str] = frozenset()
-    citing_indexed: bool = True
-    mention_count: int = 1
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if self.citing_pub == self.cited_pub:
+    def __new__(
+        cls,
+        citing_pub: str,
+        cited_pub: str,
+        citing_authors: tuple[AuthorId, ...] = (),
+        citing_institutions: frozenset[str] = frozenset(),
+        citing_indexed: bool = True,
+        mention_count: int = 1,
+    ) -> "CitationRecord":
+        if citing_pub == cited_pub:
+            raise MalformedRecordError(f"citation of {cited_pub!r} cites itself")
+        if mention_count < 1:
             raise MalformedRecordError(
-                f"citation of {self.cited_pub!r} cites itself"
+                f"citation {citing_pub!r} -> {cited_pub!r} has "
+                f"mention_count {mention_count}"
             )
-        if self.mention_count < 1:
-            raise MalformedRecordError(
-                f"citation {self.citing_pub!r} -> {self.cited_pub!r} has "
-                f"mention_count {self.mention_count}"
-            )
+        return _tuple_new(cls, (
+            citing_pub, cited_pub, citing_authors, citing_institutions, citing_indexed,
+            mention_count,
+        ))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from kindex import (
     ConfigError,
     CorpusBundle,
     ParseError,
+    PublicationFlag,
     PublicationRecord,
     Role,
     dump_publications,
@@ -556,13 +557,13 @@ _CHANGE = st.tuples(
 )
 
 
-def _changed(line, changes):
+def _changed(line, changes, list_keys=("citing_authors=", "citing_institutions=")):
     """``line`` with each change applied: off the serializer's layout, or
-    onto a value the record rejects."""
+    onto a value the record rejects. A "comma" change goes to a token
+    starting with one of ``list_keys`` when there is one."""
     tokens = line.split("\t")
     for kind, n, m, k in changes:
-        lists = [j for j, t in enumerate(tokens)
-                 if t.startswith(("citing_authors=", "citing_institutions="))]
+        lists = [j for j, t in enumerate(tokens) if t.startswith(list_keys)]
         targets = lists if kind == "comma" and lists else range(len(tokens))
         i = targets[n % len(targets)]
         token = tokens[i]  # every token holds a "="
@@ -628,6 +629,164 @@ class TestSerializedCiteFastPath:
         fast = [_outcome(source) for source in sources]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_SERIALIZED_CITE", re.compile("(?!)"))
+            assert [_outcome(source) for source in sources] == fast
+
+
+# Author ids without ":", so that every institution pair reads back; names
+# that str.strip leaves alone, with inner spaces, colons and "#".
+_AUTHOR = st.sampled_from(["a", "b", "b c", "é#", "a\xa0b", "#1"])
+_INSTITUTION_NAME = st.sampled_from(["X", "Inst Y", "Lab 3: Applied", "é:#", ":", "a\xa0b"])
+_FWCI = st.none() | st.sampled_from([0.0, -0.0, 1e-05, 1e16]) | st.floats(
+    0, allow_infinity=False)
+
+
+@st.composite
+def _pub_bundles(draw):
+    """Bundles whose publications use every pub key the serializer writes."""
+    pub_ids = draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
+    pubs = []
+    for pub_id in pub_ids:
+        authors = draw(st.lists(_AUTHOR, min_size=1, max_size=3, unique=True))
+        pubs.append(PublicationRecord(
+            pub_id, draw(st.integers(-3000, 3000)), tuple(authors),
+            frozenset(draw(st.lists(st.sampled_from(authors), max_size=2))), draw(_FWCI),
+            draw(st.booleans()), frozenset(draw(st.lists(st.sampled_from(PublicationFlag),
+                                                         max_size=2))),
+            draw(st.dictionaries(st.sampled_from(authors), _INSTITUTION_NAME, max_size=3)),
+        ))
+    cites = tuple(CitationRecord(f"x{i}", draw(st.sampled_from(pub_ids)))
+                  for i in range(draw(st.integers(0, 2))))
+    return CorpusBundle(tuple(pubs), cites)
+
+
+def _with_key(line, key, value):
+    """A pub line with ``key=value`` inserted at its place in _PUB_FIELDS order."""
+    tokens = line.split("\t")
+    rank = ingest._PUB_FIELDS.index(key)
+    at = next((i for i, t in enumerate(tokens[1:], 1)
+               if ingest._PUB_FIELDS.index(t.partition("=")[0]) > rank), len(tokens))
+    tokens.insert(at, f"{key}={value}")
+    return "\t".join(tokens)
+
+
+_TIERS = st.sampled_from(sorted(ingest._VENUE_TIERS))
+_PUB_LIST_KEYS = ("authors=", "corresponding=", "flags=", "institutions=")
+# Values just outside the documented spelling, or onto a value the record
+# rejects; "dup_author", "ghost" and "institution" also read the byline.
+_PUB_VALUES = {
+    "fwci": ["1e2", "1_0", "-0.5", "inf", "9" * 400, "1e+400", "-0.0", " 2.5", ".5"],
+    "year": ["+3", "\u0663", "-7", "0012", "2_000", "9" * 5000],
+    "venue_tier": ["Q5", "Q1", "q1"],
+    "indexed": ["maybe", "false"],
+    "alphabetical": ["yes", "true"],
+    "flags": ["ODD", "NONSCIENTIFIC,ODD", "ERRONEOUS,ERRONEOUS", "ERRONEOUS ,NONSCIENTIFIC"],
+}
+_PUB_CHANGE = st.tuples(
+    st.sampled_from(["order", "repeat", "drop", "unknown", "pad", "equals", "comma",
+                     *_PUB_VALUES, "institution", "dup_author", "ghost", "dup_id"]),
+    st.integers(0, 60), st.integers(0, 60), st.integers(0, 60),
+)
+
+
+def _changed_pub(line, changes, first_id):
+    """A pub line with each change applied; "dup_id" sets its pub_id to
+    ``first_id``, the id of an earlier line."""
+    for kind, n, m, k in changes:
+        if kind in ("order", "repeat", "drop", "unknown", "pad", "equals", "comma"):
+            line = _changed(line, [(kind, n, m, k)], _PUB_LIST_KEYS)
+            continue
+        tokens = line.split("\t")
+        byline = next((t.partition("=")[2] for t in tokens if t.startswith("authors=")), "a")
+        author = byline.split(",")[0]
+        if kind in _PUB_VALUES:
+            _set_field(tokens, kind, _PUB_VALUES[kind][k % len(_PUB_VALUES[kind])])
+        elif kind == "institution":  # no ":", or a space next to it
+            pairs = [author, f"{author} :X", f"{author}: X", f"{author}:X", "ghost:X"]
+            _set_field(tokens, "institutions", pairs[k % len(pairs)])
+        elif kind == "dup_author":
+            _set_field(tokens, "authors", f"{byline},{author}")
+        elif kind == "ghost":
+            _set_field(tokens, "corresponding", "ghost")
+        else:
+            _set_field(tokens, "pub_id", first_id)
+        line = "\t".join(tokens)
+    return line
+
+
+def _padded(line, pads):
+    """Copies of ``line`` with one whitespace character (taken in turn from
+    ``pads``) at each edge of a key, a value, a list item or an item's first
+    colon."""
+    tokens = line.split("\t")
+    copies = []
+    for i, token in enumerate(tokens):
+        value_at = token.index("=") + 1
+        edges = {0, value_at - 1, value_at, len(token)}
+        start = value_at
+        for item in token[value_at:].split(","):
+            end = start + len(item)
+            colon = item.find(":")
+            edges |= {start, end, *((start + colon, start + colon + 1) if colon >= 0 else ())}
+            start = end + 1
+        for at in sorted(edges):
+            pad = pads[len(copies) % len(pads)]
+            copies.append("\t".join([*tokens[:i], token[:at] + pad + token[at:], *tokens[i + 1:]]))
+    return copies
+
+
+class TestSerializedPubFastPath:
+    """Pub lines in the serializer's layout, with or without venue_tier and
+    indexed, are read by one pattern match; every line must give the
+    records or messages of the careful path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pub_bundles(), _TIERS, st.booleans())
+    def test_serializer_lines_take_the_fast_path(self, bundle, tier, indexed):
+        text = dump_publications(bundle)
+        assert parse_publications(text) == bundle
+        for line in text.splitlines():
+            if line.startswith("type=pub"):
+                for variant in (line, _with_key(line, "venue_tier", tier),
+                                _with_key(line, "indexed", str(indexed).lower()),
+                                _with_key(_with_key(line, "indexed", "true"), "venue_tier", tier)):
+                    assert ingest._SERIALIZED_PUB.fullmatch(variant), variant
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pub_bundles(), _TIERS, st.permutations(" \x1f\xa0"))
+    def test_whitespace_anywhere_reads_as_the_careful_path(self, bundle, tier, pads):
+        lines = [_with_key(_with_key(line, "venue_tier", tier), "indexed", "false")
+                 for line in dump_publications(bundle).splitlines() if line.startswith("type=pub")]
+        copies = [copy for line in lines for copy in _padded(line, pads)]
+        fast = [_outcome(copy) for copy in copies]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_SERIALIZED_PUB", re.compile("(?!)"))
+            assert [_outcome(copy) for copy in copies] == fast
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pub_bundles(), st.lists(st.lists(_PUB_CHANGE, min_size=1, max_size=2),
+                                    min_size=3, max_size=9), _TIERS, st.booleans())
+    def test_same_outcome_as_the_careful_path(self, bundle, changes, tier, indexed):
+        lines, mutants = [], []
+        for line in dump_publications(bundle).splitlines():
+            lines.append(line)
+            if line.startswith("type=pub"):
+                # The line stays, so that its citations resolve; three
+                # mutants under ids of their own follow it.
+                pub_id = line.split("\t")[1].partition("=")[2]
+                line = _with_key(_with_key(line, "venue_tier", tier), "indexed",
+                                 str(indexed).lower())
+                for t in range(3):
+                    mutant = line.replace(f"\tpub_id={pub_id}\t", f"\tpub_id={pub_id}~{t}\t")
+                    mutants.append(_changed_pub(
+                        mutant, changes[len(mutants) % len(changes)], pub_id))
+                lines += mutants[-3:]
+        text = "\n".join(lines)
+        # The whole text as a string and as the lines of a file, then each
+        # mutant alone: a rejected line elsewhere would hide its record.
+        sources = (text, text.splitlines(keepends=True), *mutants)
+        fast = [_outcome(source) for source in sources]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_SERIALIZED_PUB", re.compile("(?!)"))
             assert [_outcome(source) for source in sources] == fast
 
 

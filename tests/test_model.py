@@ -1,13 +1,17 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kindex import (
     CitationRecord,
     MalformedRecordError,
     NoPublicationsError,
     ParseError,
+    PublicationFlag,
     PublicationRecord,
     Role,
     build_role_profile,
@@ -246,3 +250,100 @@ class TestConstructionChecks:
     def test_valid_records_construct(self):
         assert _pub(corresponding=frozenset({"A"}), fwci=0.0)().authors == ("A", "B")
         assert _cite(mention_count=2)().mention_count == 2
+
+
+# Field names in constructor order, as the records have always had them.
+PUB_FIELDS = ("pub_id", "year", "authors", "corresponding", "fwci", "alphabetical_order",
+              "flags", "institution_by_author")
+CITE_FIELDS = ("citing_pub", "cited_pub", "citing_authors", "citing_institutions",
+               "citing_indexed", "mention_count")
+_NAMES = st.text("abé :#", min_size=1, max_size=4)  # never "Z", the name no record holds
+
+
+@st.composite
+def _publications(draw):
+    authors = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    return PublicationRecord(
+        draw(_NAMES), draw(st.integers(-10**6, 10**6)), tuple(authors),
+        frozenset(draw(st.lists(st.sampled_from(authors), max_size=2))),
+        draw(st.none() | st.floats(0, allow_infinity=False)), draw(st.booleans()),
+        frozenset(draw(st.lists(st.sampled_from(PublicationFlag), max_size=2))),
+        draw(st.dictionaries(st.sampled_from(authors), _NAMES, max_size=3)),
+    )
+
+
+@st.composite
+def _citations(draw):
+    cited = draw(_NAMES)
+    return CitationRecord(
+        draw(_NAMES.filter(lambda s: s != cited)), cited,
+        tuple(draw(st.lists(_NAMES, max_size=3))), frozenset(draw(st.lists(_NAMES, max_size=3))),
+        draw(st.booleans()), draw(st.integers(1, 10**30)),
+    )
+
+
+_records = st.one_of(_publications(), _citations())
+
+# Per record type, values that break one rule each.
+_BREAKING = {
+    PublicationRecord: [
+        {"pub_id": ""}, {"authors": ()}, {"authors": ("Z", "Z")},
+        {"corresponding": frozenset({"Z"})}, {"fwci": -0.5}, {"fwci": math.inf},
+        {"fwci": math.nan}, {"institution_by_author": {"Z": "X"}},
+    ],
+    CitationRecord: [{"mention_count": 0}, {"mention_count": -3}, {"citing_pub": "Z",
+                                                                   "cited_pub": "Z"}],
+}
+
+
+def _fields(record):
+    return PUB_FIELDS if isinstance(record, PublicationRecord) else CITE_FIELDS
+
+
+class TestRecordContract:
+    """Records are validated immutable tuples that keep the behaviour the
+    frozen dataclasses had: value equality, pickling, copying, repr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records)
+    def test_pickle_and_copy_give_an_equal_record(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert twin == record and type(twin) is type(record)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records)
+    def test_repr_names_every_field(self, record):
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in _fields(record))
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records)
+    def test_fields_cannot_be_assigned(self, record):
+        for name in (*_fields(record), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name, None))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_citations())
+    def test_equal_citations_hash_equal(self, record):
+        twin = CitationRecord(*(copy.copy(value) for value in record))
+        assert twin == record and hash(twin) == hash(record)
+
+    def test_default_institutions_are_a_new_dict_per_record(self):
+        first, second = _pub()(), _pub()()
+        assert first.institution_by_author == {} == second.institution_by_author
+        assert type(first.institution_by_author) is dict
+        assert first.institution_by_author is not second.institution_by_author
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records, st.data())
+    def test_replace_and_make_run_the_constructor_checks(self, record, data):
+        change = data.draw(st.sampled_from(_BREAKING[type(record)]))
+        with pytest.raises(MalformedRecordError) as built:
+            type(record)(**(record._asdict() | change))
+        broken = [change.get(name, value) for name, value in zip(_fields(record), record)]
+        for attempt in (lambda: record._replace(**change), lambda: type(record)._make(broken)):
+            with pytest.raises(MalformedRecordError) as err:
+                attempt()
+            assert str(err.value) == str(built.value)
