@@ -60,8 +60,9 @@ class _Fail(Exception):
 
 
 def _read(path: str) -> str:
+    """The text of an input or config file; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise _Fail(2, [f"cannot read {path}: {exc.strerror or exc}"]) from None

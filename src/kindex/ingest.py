@@ -17,7 +17,7 @@ import gc
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -101,6 +101,7 @@ _PUB_KEYS = frozenset(_PUB_FIELDS) | {"type"}
 _CITE_KEYS = frozenset(_CITE_FIELDS) | {"type"}
 # Documented values of the pub keys that are checked but read by no indicator.
 _VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
+_FLAGS = frozenset(flag.value for flag in PublicationFlag)
 
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
@@ -113,8 +114,8 @@ _EMPTY: frozenset = frozenset()
 # optional "-", its fwci is spelled as repr() writes a float (float() reads
 # both paths alike, and the record rejects a negative one), its flags are
 # PublicationFlag values, and its institution pairs have no whitespace next
-# to their first ":". Such a line reads the same without _parse_fields and
-# _build_citation or _build_publication.
+# to their first ":". Such a line gives the same groups that _parse_fields
+# and _cite_texts or _pub_texts give, and one record constructor reads both.
 # Use match() and compare its end: fullmatch backtracks long on a near miss.
 _VALUE = r"[^\s=](?:[^\t=]*[^\s=])?"
 _ITEM = r"[^\s=,](?:[^\t=,]*[^\s=,])?"
@@ -125,7 +126,7 @@ _SERIALIZED_CITE = re.compile(
     r"(?:\tciting_indexed=(true|false))?(?:\tmentions=([0-9]+))?\s*"
 )
 _TIER = "|".join(sorted(_VENUE_TIERS))
-_FLAG = "|".join(flag.value for flag in PublicationFlag)
+_FLAG = "|".join(sorted(_FLAGS))
 _INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
 _SERIALIZED_PUB = re.compile(
     rf"type=pub\tpub_id=({_VALUE})\tyear=(-?[0-9]+)\tauthors=({_ITEMS})"
@@ -191,6 +192,11 @@ def _split_list(value: str) -> list[str]:
     return [name for item in value.split(",") if (name := item.strip())]
 
 
+def _joined(value: str | None) -> str | None:
+    """The items of a list field joined by ","; None when it has none."""
+    return ",".join(_split_list(value or "")) or None
+
+
 def _parse_fields(line: str) -> dict[str, str]:
     fields: dict[str, str] = {}
     for token in line.split("\t"):
@@ -220,7 +226,10 @@ def _check_keys(
             raise ValueError(f"{kind} record missing required field(s) {missing}")
 
 
-def _build_publication(fields: dict[str, str]) -> PublicationRecord:
+def _pub_texts(fields: dict[str, str]) -> tuple[str | None, ...]:
+    """The checked texts of a pub line, as _SERIALIZED_PUB's groups would
+    give them: list items joined by ",", institution pairs as author:name,
+    an absent field or an empty list as None."""
     _check_keys(fields, _PUB_KEYS, _PUB_REQUIRED, "pub")
 
     institutions: dict[str, str] = {}
@@ -231,54 +240,40 @@ def _build_publication(fields: dict[str, str]) -> PublicationRecord:
                 raise ValueError(f"institution entry {pair!r} is not author:name")
             institutions[author.strip()] = name.strip()
 
-    flags = _EMPTY
-    if value := fields.get("flags"):
-        found = set()
-        for flag in _split_list(value):
-            try:
-                found.add(PublicationFlag(flag))
-            except ValueError:
-                raise ValueError(f"unknown flag {flag!r}") from None
-        flags = frozenset(found)
+    flags = _split_list(fields.get("flags", ""))
+    for flag in flags:
+        if flag not in _FLAGS:
+            raise ValueError(f"unknown flag {flag!r}")
 
     if "venue_tier" in fields and fields["venue_tier"] not in _VENUE_TIERS:
         raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}")
 
-    fwci = float(value) if (value := fields.get("fwci")) else None
-    year = _parse_int(fields["year"])
+    if fwci := fields.get("fwci"):
+        float(fwci)
+    _parse_int(fields["year"])
     if "indexed" in fields:
         _parse_bool(fields["indexed"])  # checked only, like venue_tier
+    if (alphabetical := fields.get("alphabetical")) is not None:
+        _parse_bool(alphabetical)
 
-    corresponding = fields.get("corresponding")
-    return PublicationRecord(
-        pub_id=fields["pub_id"],
-        year=year,
-        authors=tuple(_split_list(fields["authors"])),
-        corresponding=frozenset(_split_list(corresponding)) if corresponding else _EMPTY,
-        fwci=fwci,
-        alphabetical_order=(
-            _parse_bool(fields["alphabetical"]) if "alphabetical" in fields else False
-        ),
-        flags=flags,
-        institution_by_author=institutions,
+    return (
+        fields["pub_id"], fields["year"], _joined(fields["authors"]),
+        _joined(fields.get("corresponding")), fwci or None, alphabetical, ",".join(flags) or None,
+        ",".join(f"{author}:{name}" for author, name in institutions.items()) or None,
     )
 
 
-def _build_citation(fields: dict[str, str]) -> CitationRecord:
+def _cite_texts(fields: dict[str, str]) -> tuple[str | None, ...]:
+    """The checked texts of a cite line, as _SERIALIZED_CITE's groups would
+    give them."""
     _check_keys(fields, _CITE_KEYS, _CITE_REQUIRED, "cite")
-    authors = fields.get("citing_authors")
-    institutions = fields.get("citing_institutions")
-    return CitationRecord(
-        citing_pub=fields["citing_pub"],
-        cited_pub=fields["cited_pub"],
-        citing_authors=tuple(_split_list(authors)) if authors else (),
-        citing_institutions=(
-            frozenset(_split_list(institutions)) if institutions else _EMPTY
-        ),
-        citing_indexed=(
-            _parse_bool(fields["citing_indexed"]) if "citing_indexed" in fields else True
-        ),
-        mention_count=_parse_int(fields["mentions"]) if "mentions" in fields else 1,
+    if (indexed := fields.get("citing_indexed")) is not None:
+        _parse_bool(indexed)
+    if (mentions := fields.get("mentions")) is not None:
+        _parse_int(mentions)
+    return (
+        fields["citing_pub"], fields["cited_pub"], _joined(fields.get("citing_authors")),
+        _joined(fields.get("citing_institutions")), indexed, mentions,
     )
 
 
@@ -294,17 +289,34 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     issues: list[ParseIssue] = []
     publications: list[PublicationRecord] = []
     citations: list[CitationRecord] = []
-    cite_lines: list[int] = []
     pub_lines: dict[str, int] = {}
-    # One tuple or set per distinct list text on the cite fast path: citing
-    # bylines repeat across links, and shared values keep the corpus smaller.
+    # (line, cited_pub) of each cite read before its cited pub, checked at the end.
+    forward: list[tuple[int, str]] = []
+    # One tuple or set per distinct list text: citing bylines repeat across
+    # links, and shared values keep the corpus smaller.
     author_tuples: dict[str | None, tuple[AuthorId, ...]] = {None: ()}
     institution_sets: dict[str | None, frozenset[str]] = {None: _EMPTY}
 
     for line_no, line in enumerate(lines, 1):
         try:
             if (match := _SERIALIZED_CITE.match(line)) and match.end() == len(line):
-                citing, cited, authors, institutions, indexed, mentions = match.groups()
+                kind, texts = "cite", match.groups()
+            elif (match := _SERIALIZED_PUB.match(line)) and match.end() == len(line):
+                kind, texts = "pub", match.groups()
+            else:
+                stripped = line.lstrip()
+                if not stripped or stripped[0] == "#":
+                    continue
+                fields = _parse_fields(line)
+                kind = fields["type"]
+                if kind == "cite":
+                    texts = _cite_texts(fields)
+                elif kind == "pub":
+                    texts = _pub_texts(fields)
+                else:
+                    raise ValueError(f"unknown record type {kind!r}")
+            if kind == "cite":
+                citing, cited, authors, institutions, indexed, mentions = texts
                 if (citing_authors := author_tuples.get(authors)) is None:
                     citing_authors = author_tuples[authors] = tuple(authors.split(","))
                 if (citing_institutions := institution_sets.get(institutions)) is None:
@@ -314,70 +326,77 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
                     citing, cited, citing_authors, citing_institutions,
                     indexed != "false", int(mentions) if mentions else 1,
                 ))
-                cite_lines.append(line_no)
+                if cited not in pub_lines:
+                    forward.append((line_no, cited))
                 continue
-            if (match := _SERIALIZED_PUB.match(line)) and match.end() == len(line):
-                (pub_id, year, authors, corresponding, fwci, alphabetical, flags,
-                 institutions) = match.groups()
-                record = PublicationRecord(
-                    pub_id, int(year), tuple(authors.split(",")),
-                    frozenset(corresponding.split(",")) if corresponding else _EMPTY,
-                    float(fwci) if fwci else None, alphabetical == "true",
-                    frozenset(map(PublicationFlag, flags.split(","))) if flags else _EMPTY,
-                    dict(pair.split(":", 1) for pair in institutions.split(","))
-                    if institutions else {},
-                )
-            else:
-                stripped = line.lstrip()
-                if not stripped or stripped[0] == "#":
-                    continue
-                fields = _parse_fields(line)
-                kind = fields["type"]
-                if kind == "cite":
-                    citations.append(_build_citation(fields))
-                    cite_lines.append(line_no)
-                    continue
-                if kind != "pub":
-                    raise ValueError(f"unknown record type {kind!r}")
-                record = _build_publication(fields)
-            if record.pub_id in pub_lines:
+            (pub_id, year, authors, corresponding, fwci, alphabetical, flags,
+             institutions) = texts
+            record = PublicationRecord(
+                pub_id, int(year), tuple(authors.split(",")) if authors else (),
+                frozenset(corresponding.split(",")) if corresponding else _EMPTY,
+                float(fwci) if fwci else None, alphabetical == "true",
+                frozenset(map(PublicationFlag, flags.split(","))) if flags else _EMPTY,
+                dict(pair.split(":", 1) for pair in institutions.split(","))
+                if institutions else {},
+            )
+            if pub_id in pub_lines:
                 raise ValueError(
-                    f"duplicate pub_id {record.pub_id!r} "
-                    f"(first seen on line {pub_lines[record.pub_id]})"
+                    f"duplicate pub_id {pub_id!r} (first seen on line {pub_lines[pub_id]})"
                 )
-            pub_lines[record.pub_id] = line_no
+            pub_lines[pub_id] = line_no
             publications.append(record)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
 
-    for line_no, cite in zip(cite_lines, citations):
-        if cite.cited_pub not in pub_lines:
-            issues.append(
-                ParseIssue(
-                    line_no,
-                    f"citation references unknown cited_pub {cite.cited_pub!r}",
-                )
-            )
-
+    issues += [
+        ParseIssue(line_no, f"citation references unknown cited_pub {cited!r}")
+        for line_no, cited in forward
+        if cited not in pub_lines
+    ]
     if issues:
         raise ParseError(issues)
     return CorpusBundle(publications=tuple(publications), citations=tuple(citations))
 
 
+def _writable(record: str, key: str, text: str, stops: str = "") -> str:
+    """``text`` as written for ``key``, or ValueError naming ``record`` when
+    the parser would read it back changed: it holds a TAB, CR, LF or one of
+    ``stops``, or starts or ends with whitespace that str.strip removes."""
+    bad = next((char for char in "\t\r\n" + stops if char in text), None)
+    if bad is not None or text != text.strip():
+        why = f"holds {bad!r}" if bad else "starts or ends with whitespace"
+        raise ValueError(f"cannot write {record}: {key} {text!r} {why}")
+    return text
+
+
+def _writable_items(record: str, key: str, items: Sequence[str]) -> str:
+    """The list items joined by ",", each checked by _writable; an empty
+    item would be dropped, so it is refused too."""
+    for item in items:
+        if not item:
+            raise ValueError(f"cannot write {record}: {key} has an empty item")
+        _writable(record, key, item, ",")
+    return ",".join(items)
+
+
 def dump_publications(bundle: CorpusBundle) -> str:
     """Serialize a bundle back to corpus-file text (parse round-trips to a
     structurally identical bundle). Optional fields at their defaults are
-    omitted."""
+    omitted. Raises ValueError for an id or name the format cannot read
+    back as it is (see _writable)."""
     lines = []
     for p in bundle.publications:
+        record = f"pub {p.pub_id!r}"
         parts = [
             "type=pub",
-            f"pub_id={p.pub_id}",
+            f"pub_id={_writable(record, 'pub_id', p.pub_id)}",
             f"year={p.year}",
-            "authors=" + ",".join(p.authors),
+            "authors=" + _writable_items(record, "authors", p.authors),
         ]
         if p.corresponding:
-            parts.append("corresponding=" + ",".join(sorted(p.corresponding)))
+            parts.append(
+                "corresponding=" + _writable_items(record, "corresponding", sorted(p.corresponding))
+            )
         if p.fwci is not None:
             parts.append(f"fwci={p.fwci!r}")
         if p.alphabetical_order:
@@ -385,21 +404,27 @@ def dump_publications(bundle: CorpusBundle) -> str:
         if p.flags:
             parts.append("flags=" + ",".join(sorted(f.value for f in p.flags)))
         if p.institution_by_author:
-            pairs = sorted(p.institution_by_author.items())
-            parts.append("institutions=" + ",".join(f"{a}:{n}" for a, n in pairs))
+            # An author id is checked as a byline item; the pair splits at its first ":".
+            parts.append("institutions=" + ",".join(
+                f"{_writable(record, 'institutions', author, ':')}:"
+                f"{_writable(record, 'institutions', name, ',')}"
+                for author, name in sorted(p.institution_by_author.items())
+            ))
         lines.append("\t".join(parts))
     for c in bundle.citations:
+        record = f"cite {c.citing_pub!r} -> {c.cited_pub!r}"
         parts = [
             "type=cite",
-            f"citing_pub={c.citing_pub}",
-            f"cited_pub={c.cited_pub}",
+            f"citing_pub={_writable(record, 'citing_pub', c.citing_pub)}",
+            f"cited_pub={_writable(record, 'cited_pub', c.cited_pub)}",
         ]
         if c.citing_authors:
-            parts.append("citing_authors=" + ",".join(c.citing_authors))
-        if c.citing_institutions:
             parts.append(
-                "citing_institutions=" + ",".join(sorted(c.citing_institutions))
+                "citing_authors=" + _writable_items(record, "citing_authors", c.citing_authors)
             )
+        if c.citing_institutions:
+            parts.append("citing_institutions=" + _writable_items(
+                record, "citing_institutions", sorted(c.citing_institutions)))
         if not c.citing_indexed:
             parts.append("citing_indexed=false")
         if c.mention_count != 1:

@@ -921,3 +921,22 @@ class TestOnlyLfCrLfAndCrEndLines:
             assert parse_publications(text) == parse_publications(handle)
         unterminated = parse_publications(text + "type=cite\tciting_pub=r\tcited_pub=p1")
         assert [c.citing_pub for c in unterminated.citations] == ["q", "r"]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a corpus, summary or config
+    file is dropped: the file reads as it does without one."""
+
+    @pytest.mark.parametrize("argv,text", [
+        (["validate", "{}"], Path(YEARLY_CORPUS).read_text(encoding="utf-8")),
+        (["metrics", "--summary", "{}"], Path(KRATING_SUMMARY).read_text(encoding="utf-8")),
+        (["metrics", "--summary", KRATING_SUMMARY, "--config", "{}", "--format", "csv"],
+         "precision=3\n"),
+    ], ids=["corpus", "summary", "config"])
+    def test_marked_file_reads_as_unmarked(self, tmp_path, capsys, argv, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        expected = run(capsys, *(arg.format(plain) for arg in argv))
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, *(arg.format(marked) for arg in argv)) == expected

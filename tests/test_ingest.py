@@ -1,6 +1,8 @@
 import gc
 import math
 import re
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -788,6 +790,158 @@ class TestSerializedPubFastPath:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_SERIALIZED_PUB", re.compile("(?!)"))
             assert [_outcome(source) for source in sources] == fast
+
+
+# Ids and names over every character the corpus format gives a meaning:
+# list and pair separators, "=", TAB, line ends and whitespace; most are
+# texts that read back, so that whole bundles often do.
+_RAW = st.one_of(*[st.sampled_from(["a", "b", "a b", "b:a", "=a"])] * 3,
+                 st.text(st.sampled_from("ab,:=\t\n\r \xa0"), max_size=3))
+
+
+@st.composite
+def _raw_bundles(draw):
+    """Valid bundles whose ids and names may hold any character of _RAW."""
+    pub_ids = draw(st.lists(_RAW.filter(bool), min_size=1, max_size=3, unique=True))
+    pubs = []
+    for pub_id in pub_ids:
+        authors = draw(st.lists(_RAW, min_size=1, max_size=3, unique=True))
+        pubs.append(PublicationRecord(
+            pub_id, 2020, tuple(authors),
+            frozenset(draw(st.lists(st.sampled_from(authors), max_size=2))),
+            institution_by_author=draw(st.dictionaries(st.sampled_from(authors), _RAW,
+                                                       max_size=2)),
+        ))
+    cites = []
+    for _ in range(draw(st.integers(0, 3))):
+        cited = draw(st.sampled_from(pub_ids))
+        cites.append(CitationRecord(
+            draw(_RAW.filter(lambda s: s != cited)), cited,
+            tuple(draw(st.lists(_RAW, max_size=2))), frozenset(draw(st.lists(_RAW, max_size=2))),
+        ))
+    return CorpusBundle(tuple(pubs), tuple(cites))
+
+
+class TestDumpRoundTrip:
+    """dump_publications writes what parse_publications reads back as it was,
+    and refuses the rest with a ValueError naming the record and the field."""
+
+    @pytest.mark.parametrize("bundle,message", [
+        (CorpusBundle((PublicationRecord("p", 1, ("x:y", "x"),
+                                         institution_by_author={"x:y": "Inst"}),)),
+         "cannot write pub 'p': institutions 'x:y' holds ':'"),
+        (CorpusBundle((PublicationRecord("p", 1, ("a,b",)),)),
+         "cannot write pub 'p': authors 'a,b' holds ','"),
+        (CorpusBundle((PublicationRecord("p", 1, (" c",)),)),
+         "cannot write pub 'p': authors ' c' starts or ends with whitespace"),
+        (CorpusBundle((PublicationRecord("p", 1, ("a",)),),
+                      (CitationRecord("q", "p", ("u v ",)),)),
+         "cannot write cite 'q' -> 'p': citing_authors 'u v ' starts or ends with whitespace"),
+        (CorpusBundle((PublicationRecord("p", 1, ("a", "")),)),
+         "cannot write pub 'p': authors has an empty item"),
+        (CorpusBundle((PublicationRecord("p\tq", 1, ("a",)),)),
+         "cannot write pub 'p\\tq': pub_id 'p\\tq' holds '\\t'"),
+        (CorpusBundle((PublicationRecord("p", 1, ("a",), institution_by_author={"a": "I,J"}),)),
+         "cannot write pub 'p': institutions 'I,J' holds ','"),
+    ])
+    def test_text_read_back_changed_is_refused(self, bundle, message):
+        with pytest.raises(ValueError) as err:
+            dump_publications(bundle)
+        assert str(err.value) == message
+
+    def test_separators_that_read_back_are_written(self):
+        bundle = CorpusBundle(
+            (PublicationRecord("p=1,2", 1, ("a:b", "c"), institution_by_author={"c": "Lab: 3"}),),
+            (CitationRecord("q,=", "p=1,2", ("x=y",), frozenset({"I:J"})),),
+        )
+        assert parse_publications(dump_publications(bundle)) == bundle
+
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_bundles())
+    def test_refuses_exactly_what_reads_back_changed(self, bundle):
+        try:
+            text = dump_publications(bundle)
+        except ValueError:
+            # Written unchecked, the text would read back as another bundle or fail.
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_writable", lambda record, key, text, stops="": text)
+                patch.setattr(ingest, "_writable_items", lambda record, key, items: ",".join(items))
+                assert _outcome(dump_publications(bundle)) != bundle
+        else:
+            assert parse_publications(text) == bundle
+
+
+_COMMENTS = st.lists(st.sampled_from(["# note", "", "  # type=pub", " "]), max_size=3)
+_IDS = ["p0", "p1", "p2", "p3"]
+
+
+@st.composite
+def _resolving_corpora(draw):
+    """(line, cited_pub) pairs in any order: pub lines, some rejected and
+    some repeating an id, and cite lines, some rejected, whose cited_pub may
+    be missing, rejected or on a later line. cited_pub is None but on cite
+    lines; a leading space sends a line down the careful path."""
+    lines = []
+    for pub_id in draw(st.lists(st.sampled_from(_IDS[:3]), max_size=5)):
+        pad, year = draw(st.sampled_from(["", " "])), draw(st.sampled_from(["2020", "2020", "x"]))
+        lines.append((f"{pad}type=pub\tpub_id={pub_id}\tyear={year}\tauthors=a", None))
+    for i in range(draw(st.integers(0, 6))):
+        pad, cited = draw(st.sampled_from(["", " "])), draw(st.sampled_from(_IDS))
+        mentions = draw(st.sampled_from(["1", "1", "0"]))
+        lines.append((f"{pad}type=cite\tciting_pub=c{i}\tcited_pub={cited}\tmentions={mentions}",
+                      cited))
+    lines += [(comment, None) for comment in draw(_COMMENTS)]
+    return draw(st.permutations(lines))
+
+
+def _dangling(line_no, cited):
+    return ingest.ParseIssue(line_no, f"citation references unknown cited_pub {cited!r}")
+
+
+def _reference_issues(lines):
+    """The issues of a corpus by the documented rule: each line's own issue,
+    in line order, then one per accepted cite whose cited_pub no accepted
+    pub line holds, in line order. A line's own issue is the one it gives
+    when read alone, or a repeated pub_id."""
+    issues, first_line, cites = [], {}, []
+    for line_no, (line, cited) in enumerate(lines, 1):
+        alone = _outcome(line)
+        if cited is not None and alone == [_dangling(1, cited)]:
+            cites.append((line_no, cited))
+        elif isinstance(alone, list):
+            issues.append(ingest.ParseIssue(line_no, alone[0].message))
+        elif alone.publications:
+            pub_id = alone.publications[0].pub_id
+            first = first_line.setdefault(pub_id, line_no)
+            if first != line_no:
+                issues.append(ingest.ParseIssue(
+                    line_no, f"duplicate pub_id {pub_id!r} (first seen on line {first})"))
+    return issues + [_dangling(n, cited) for n, cited in cites if cited not in first_line]
+
+
+class TestLineOrder:
+    """A cite may come before the pub it cites: records do not depend on the
+    order of the lines, and issues follow the documented order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_bundles(), _pub_bundles()), st.data())
+    def test_permuted_lines_give_the_same_records(self, bundle, data):
+        lines = data.draw(st.permutations(
+            dump_publications(bundle).splitlines() + data.draw(_COMMENTS)))
+        got = parse_publications("\n".join(lines))
+        by_id = attrgetter("pub_id")
+        assert sorted(got.publications, key=by_id) == sorted(bundle.publications, key=by_id)
+        assert Counter(got.citations) == Counter(bundle.citations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_resolving_corpora())
+    def test_issues_are_per_line_then_dangling_cites(self, lines):
+        expected = _reference_issues(lines)
+        got = _outcome("\n".join(line for line, _ in lines))
+        if expected:
+            assert got == expected
+        else:
+            assert isinstance(got, CorpusBundle)
 
 
 class TestLoadConfig:
