@@ -17,10 +17,11 @@ import gc
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Any, NamedTuple
 
 from .filtering import FilterConfig
 from .model import (
@@ -87,54 +88,12 @@ class Config:
 
 # --- corpus files -----------------------------------------------------------
 
-_PUB_FIELDS = (
-    "pub_id", "year", "authors", "corresponding", "venue_tier", "fwci",
-    "indexed", "alphabetical", "flags", "institutions",
-)
-_PUB_REQUIRED = ("pub_id", "year", "authors")
-_CITE_FIELDS = (
-    "citing_pub", "cited_pub", "citing_authors", "citing_institutions",
-    "citing_indexed", "mentions",
-)
-_CITE_REQUIRED = ("citing_pub", "cited_pub")
-_PUB_KEYS = frozenset(_PUB_FIELDS) | {"type"}
-_CITE_KEYS = frozenset(_CITE_FIELDS) | {"type"}
 # Documented values of the pub keys that are checked but read by no indicator.
 _VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
 _FLAGS = frozenset(flag.value for flag in PublicationFlag)
 
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
-
-# A cite or pub line as dump_publications writes it: keys in _CITE_FIELDS or
-# _PUB_FIELDS order, no "=" in a value, no empty list item, no whitespace
-# (``\s``: what str.strip removes) around a value or list item but at the
-# line's end (a file line's newline). A pub line may also hold venue_tier and
-# indexed (perfbench/gen.py writes both), its year is ASCII digits after an
-# optional "-", its fwci is spelled as repr() writes a float (float() reads
-# both paths alike, and the record rejects a negative one), its flags are
-# PublicationFlag values, and its institution pairs have no whitespace next
-# to their first ":". Such a line gives the same groups that _parse_fields
-# and _cite_texts or _pub_texts give, and one record constructor reads both.
-# Use match() and compare its end: fullmatch backtracks long on a near miss.
-_VALUE = r"[^\s=](?:[^\t=]*[^\s=])?"
-_ITEM = r"[^\s=,](?:[^\t=,]*[^\s=,])?"
-_ITEMS = rf"{_ITEM}(?:,{_ITEM})*"
-_SERIALIZED_CITE = re.compile(
-    rf"type=cite\tciting_pub=({_VALUE})\tcited_pub=({_VALUE})"
-    rf"(?:\tciting_authors=({_ITEMS}))?(?:\tciting_institutions=({_ITEMS}))?"
-    r"(?:\tciting_indexed=(true|false))?(?:\tmentions=([0-9]+))?\s*"
-)
-_TIER = "|".join(sorted(_VENUE_TIERS))
-_FLAG = "|".join(sorted(_FLAGS))
-_INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
-_SERIALIZED_PUB = re.compile(
-    rf"type=pub\tpub_id=({_VALUE})\tyear=(-?[0-9]+)\tauthors=({_ITEMS})"
-    rf"(?:\tcorresponding=({_ITEMS}))?(?:\tvenue_tier=(?:{_TIER}))?"
-    r"(?:\tfwci=(-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?))?(?:\tindexed=(?:true|false))?"
-    rf"(?:\talphabetical=(true|false))?(?:\tflags=((?:{_FLAG})(?:,(?:{_FLAG}))*))?"
-    rf"(?:\tinstitutions=({_INSTITUTION}(?:,{_INSTITUTION})*))?\s*"
-)
 
 
 @contextmanager
@@ -192,11 +151,6 @@ def _split_list(value: str) -> list[str]:
     return [name for item in value.split(",") if (name := item.strip())]
 
 
-def _joined(value: str | None) -> str | None:
-    """The items of a list field joined by ","; None when it has none."""
-    return ",".join(_split_list(value or "")) or None
-
-
 def _parse_fields(line: str) -> dict[str, str]:
     fields: dict[str, str] = {}
     for token in line.split("\t"):
@@ -214,67 +168,145 @@ def _parse_fields(line: str) -> dict[str, str]:
     return fields
 
 
-def _check_keys(
-    fields: dict[str, str], known: frozenset[str], required: tuple[str, ...], kind: str
-) -> None:
-    if not fields.keys() <= known:
-        unknown = sorted(fields.keys() - known)
-        raise ValueError(f"unknown field(s) {unknown} on {kind} record")
-    for key in required:
-        if key not in fields:
-            missing = [k for k in required if k not in fields]
-            raise ValueError(f"{kind} record missing required field(s) {missing}")
+def _check_int(key: str, text: str) -> str:
+    _parse_int(text)
+    return text
 
 
-def _pub_texts(fields: dict[str, str]) -> tuple[str | None, ...]:
-    """The checked texts of a pub line, as _SERIALIZED_PUB's groups would
-    give them: list items joined by ",", institution pairs as author:name,
-    an absent field or an empty list as None."""
-    _check_keys(fields, _PUB_KEYS, _PUB_REQUIRED, "pub")
+def _check_float(key: str, text: str) -> str | None:
+    if text:
+        float(text)
+    return text or None
 
-    institutions: dict[str, str] = {}
-    if value := fields.get("institutions"):
-        for pair in _split_list(value):
-            author, sep, name = pair.partition(":")
-            if not sep:
-                raise ValueError(f"institution entry {pair!r} is not author:name")
-            institutions[author.strip()] = name.strip()
 
-    flags = _split_list(fields.get("flags", ""))
+def _check_bool(key: str, text: str) -> str:
+    _parse_bool(text)
+    return text
+
+
+def _check_tier(key: str, text: str) -> str:
+    if text not in _VENUE_TIERS:
+        raise ValueError(f"unknown {key} {text!r}")
+    return text
+
+
+def _check_flags(key: str, text: str) -> str | None:
+    flags = _split_list(text)
     for flag in flags:
         if flag not in _FLAGS:
             raise ValueError(f"unknown flag {flag!r}")
-
-    if "venue_tier" in fields and fields["venue_tier"] not in _VENUE_TIERS:
-        raise ValueError(f"unknown venue_tier {fields['venue_tier']!r}")
-
-    if fwci := fields.get("fwci"):
-        float(fwci)
-    _parse_int(fields["year"])
-    if "indexed" in fields:
-        _parse_bool(fields["indexed"])  # checked only, like venue_tier
-    if (alphabetical := fields.get("alphabetical")) is not None:
-        _parse_bool(alphabetical)
-
-    return (
-        fields["pub_id"], fields["year"], _joined(fields["authors"]),
-        _joined(fields.get("corresponding")), fwci or None, alphabetical, ",".join(flags) or None,
-        ",".join(f"{author}:{name}" for author, name in institutions.items()) or None,
-    )
+    return ",".join(flags) or None
 
 
-def _cite_texts(fields: dict[str, str]) -> tuple[str | None, ...]:
-    """The checked texts of a cite line, as _SERIALIZED_CITE's groups would
-    give them."""
-    _check_keys(fields, _CITE_KEYS, _CITE_REQUIRED, "cite")
-    if (indexed := fields.get("citing_indexed")) is not None:
-        _parse_bool(indexed)
-    if (mentions := fields.get("mentions")) is not None:
-        _parse_int(mentions)
-    return (
-        fields["citing_pub"], fields["cited_pub"], _joined(fields.get("citing_authors")),
-        _joined(fields.get("citing_institutions")), indexed, mentions,
-    )
+def _check_pairs(key: str, text: str) -> str | None:
+    pairs: dict[str, str] = {}
+    for pair in _split_list(text):
+        author, sep, name = pair.partition(":")
+        if not sep:
+            raise ValueError(f"institution entry {pair!r} is not author:name")
+        pairs[author.strip()] = name.strip()
+    return ",".join(f"{author}:{name}" for author, name in pairs.items()) or None
+
+
+def _write_pairs(record: str, key: str, pairs: Mapping[str, str]) -> str:
+    # An author id is checked as a byline item; the pair splits at its first ":".
+    return ",".join(f"{_writable(record, key, author, ':')}:{_writable(record, key, name, ',')}"
+                    for author, name in sorted(pairs.items()))
+
+
+class _Kind(NamedTuple):
+    """How one kind of corpus value is read and written: ``pattern`` is what
+    the fast path accepts, ``check(key, text)`` takes a stripped value to the
+    text that pattern's group gives (None for an empty list) or raises
+    ValueError, and ``write(record, key, value)`` gives the text written."""
+
+    pattern: str
+    check: Callable[[str, str], str | None]
+    write: Callable[[str, str, Any], str] | None = None
+
+
+_ITEM = r"[^\s=,](?:[^\t=,]*[^\s=,])?"
+_ITEMS = rf"{_ITEM}(?:,{_ITEM})*"
+_FLAG = "|".join(sorted(_FLAGS))
+_INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
+_ID = _Kind(r"[^\s=](?:[^\t=]*[^\s=])?", lambda key, text: text,
+            lambda record, key, value: _writable(record, key, value))
+_INT = _Kind(r"-?[0-9]+", _check_int, lambda record, key, value: str(value))
+_FLOAT = _Kind(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", _check_float,
+               lambda record, key, value: repr(value))
+_BOOL = _Kind("true|false", _check_bool, lambda record, key, value: "true" if value else "false")
+_LIST = _Kind(_ITEMS, lambda key, text: ",".join(_split_list(text)) or None,
+              lambda record, key, value: _writable_items(record, key, value))
+_SET = _LIST._replace(write=lambda record, key, value: _writable_items(record, key, sorted(value)))
+_FLAG_SET = _Kind(f"(?:{_FLAG})(?:,(?:{_FLAG}))*", _check_flags,
+                  lambda record, key, value: ",".join(sorted(flag.value for flag in value)))
+_PAIRS = _Kind(rf"{_INSTITUTION}(?:,{_INSTITUTION})*", _check_pairs, _write_pairs)
+_TIER = _Kind("|".join(sorted(_VENUE_TIERS)), _check_tier)
+
+# Defaults that are no value: a required key, and a key that is checked but
+# held by no record field, so the writer never writes it.
+_REQUIRED, _CHECKED = object(), object()
+# Each record kind's keys as (key, kind, default) in docs/formats.md's and
+# the serializer's order. Leaving out the checked keys, that is the order of
+# the record's fields, and the writer omits a field at its default.
+_PUB_TABLE = (
+    ("pub_id", _ID, _REQUIRED), ("year", _INT, _REQUIRED), ("authors", _LIST, _REQUIRED),
+    ("corresponding", _SET, _EMPTY), ("venue_tier", _TIER, _CHECKED), ("fwci", _FLOAT, None),
+    ("indexed", _BOOL, _CHECKED), ("alphabetical", _BOOL, False), ("flags", _FLAG_SET, _EMPTY),
+    ("institutions", _PAIRS, {}),
+)
+_CITE_TABLE = (
+    ("citing_pub", _ID, _REQUIRED), ("cited_pub", _ID, _REQUIRED), ("citing_authors", _LIST, ()),
+    ("citing_institutions", _SET, _EMPTY), ("citing_indexed", _BOOL, True), ("mentions", _INT, 1),
+)
+_TABLES = {"pub": _PUB_TABLE, "cite": _CITE_TABLE}
+# The keys whose values a pub line checks first, in this order; the others
+# follow in table order. A line with several faults reports the first.
+_PUB_CHECKED_FIRST = ("institutions", "flags", "venue_tier", "fwci")
+_PUB_FIELDS = tuple(key for key, _, _ in _PUB_TABLE)
+_CITE_FIELDS = tuple(key for key, _, _ in _CITE_TABLE)
+
+
+def _serialized(kind: str) -> re.Pattern[str]:
+    """A line of ``kind`` as dump_publications writes it: keys in table
+    order, required ones present, a group for each value a record holds."""
+    pattern = f"type={kind}"
+    for key, value, default in _TABLES[kind]:
+        group = f"(?:{value.pattern})" if default is _CHECKED else f"({value.pattern})"
+        pattern += rf"\t{key}={group}" if default is _REQUIRED else rf"(?:\t{key}={group})?"
+    return re.compile(pattern + r"\s*")
+
+
+# A cite or pub line as dump_publications writes it: keys in _CITE_FIELDS or
+# _PUB_FIELDS order, no "=" in a value, no empty list item, no whitespace
+# (``\s``: what str.strip removes) around a value or list item but at the
+# line's end (a file line's newline). A pub line may also hold venue_tier and
+# indexed (perfbench/gen.py writes both), its integers are ASCII digits after
+# an optional "-", its fwci is spelled as repr() writes a float (float() reads
+# both paths alike, and the record rejects a negative one), its flags are
+# PublicationFlag values, and its institution pairs have no whitespace next
+# to their first ":". Such a line gives the same groups that _parse_fields
+# and _careful_texts give, and one record constructor reads both.
+# Use match() and compare its end: fullmatch backtracks long on a near miss.
+_SERIALIZED_CITE = _serialized("cite")
+_SERIALIZED_PUB = _serialized("pub")
+
+
+def _careful_texts(kind: str, fields: dict[str, str]) -> tuple[str | None, ...]:
+    """The checked texts of a line off the fast path, as its pattern's
+    groups would give them: list items joined by ",", institution pairs as
+    author:name, an absent key or an empty list as None."""
+    table = _TABLES[kind]
+    known = {"type"}.union(key for key, _, _ in table)
+    if not fields.keys() <= known:
+        raise ValueError(f"unknown field(s) {sorted(fields.keys() - known)} on {kind} record")
+    if missing := [key for key, _, default in table if default is _REQUIRED and key not in fields]:
+        raise ValueError(f"{kind} record missing required field(s) {missing}")
+    first = _PUB_CHECKED_FIRST if kind == "pub" else ()
+    order = sorted(table, key=lambda row: first.index(row[0]) if row[0] in first else len(first))
+    texts = {key: value.check(key, fields[key]) if key in fields else None
+             for key, value, _ in order}
+    return tuple(texts[key] for key, _, default in table if default is not _CHECKED)
 
 
 @_gc_paused()
@@ -309,12 +341,9 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
                     continue
                 fields = _parse_fields(line)
                 kind = fields["type"]
-                if kind == "cite":
-                    texts = _cite_texts(fields)
-                elif kind == "pub":
-                    texts = _pub_texts(fields)
-                else:
+                if kind not in _TABLES:
                     raise ValueError(f"unknown record type {kind!r}")
+                texts = _careful_texts(kind, fields)
             if kind == "cite":
                 citing, cited, authors, institutions, indexed, mentions = texts
                 if (citing_authors := author_tuples.get(authors)) is None:
@@ -385,52 +414,20 @@ def dump_publications(bundle: CorpusBundle) -> str:
     omitted. Raises ValueError for an id or name the format cannot read
     back as it is (see _writable)."""
     lines = []
-    for p in bundle.publications:
-        record = f"pub {p.pub_id!r}"
-        parts = [
-            "type=pub",
-            f"pub_id={_writable(record, 'pub_id', p.pub_id)}",
-            f"year={p.year}",
-            "authors=" + _writable_items(record, "authors", p.authors),
-        ]
-        if p.corresponding:
-            parts.append(
-                "corresponding=" + _writable_items(record, "corresponding", sorted(p.corresponding))
-            )
-        if p.fwci is not None:
-            parts.append(f"fwci={p.fwci!r}")
-        if p.alphabetical_order:
-            parts.append("alphabetical=true")
-        if p.flags:
-            parts.append("flags=" + ",".join(sorted(f.value for f in p.flags)))
-        if p.institution_by_author:
-            # An author id is checked as a byline item; the pair splits at its first ":".
-            parts.append("institutions=" + ",".join(
-                f"{_writable(record, 'institutions', author, ':')}:"
-                f"{_writable(record, 'institutions', name, ',')}"
-                for author, name in sorted(p.institution_by_author.items())
-            ))
-        lines.append("\t".join(parts))
-    for c in bundle.citations:
-        record = f"cite {c.citing_pub!r} -> {c.cited_pub!r}"
-        parts = [
-            "type=cite",
-            f"citing_pub={_writable(record, 'citing_pub', c.citing_pub)}",
-            f"cited_pub={_writable(record, 'cited_pub', c.cited_pub)}",
-        ]
-        if c.citing_authors:
-            parts.append(
-                "citing_authors=" + _writable_items(record, "citing_authors", c.citing_authors)
-            )
-        if c.citing_institutions:
-            parts.append("citing_institutions=" + _writable_items(
-                record, "citing_institutions", sorted(c.citing_institutions)))
-        if not c.citing_indexed:
-            parts.append("citing_indexed=false")
-        if c.mention_count != 1:
-            parts.append(f"mentions={c.mention_count}")
-        lines.append("\t".join(parts))
+    for kind, records in (("pub", bundle.publications), ("cite", bundle.citations)):
+        # The keys of the record's fields, in field order.
+        written = [row for row in _TABLES[kind] if row[2] is not _CHECKED]
+        for record in records:
+            pairs = list(zip(written, record))
+            # A record is named by its ids: a pub by pub_id, a cite by both ends.
+            name = f"{kind} " + " -> ".join(repr(v) for (_, k, _), v in pairs if k is _ID)
+            lines.append("\t".join([f"type={kind}", *(
+                f"{key}={value_kind.write(name, key, value)}"
+                for (key, value_kind, default), value in pairs
+                if default is _REQUIRED or value != default
+            )]))
     return "\n".join(lines) + ("\n" if lines else "")
+
 
 
 # --- summary tables ---------------------------------------------------------
@@ -467,33 +464,6 @@ def _parse_count(cell: str, column: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class _SummaryLayout:
-    """Cell positions of one table's columns, resolved once from its header.
-
-    ``counts`` holds (position, label) for H, DOC and CIT in that order,
-    with position None for a missing column; ``shares`` and ``fwci`` hold
-    (position, role, label) for the columns present, in role order.
-    """
-
-    author: int
-    id: int | None
-    counts: tuple[tuple[int | None, str], ...]
-    shares: tuple[tuple[int, Role, str], ...]
-    fwci: tuple[tuple[int, Role, str], ...]
-
-    @classmethod
-    def from_header(cls, columns: list[str]) -> "_SummaryLayout":
-        at = {name: i for i, name in enumerate(columns)}
-        return cls(
-            author=at["author"],
-            id=at.get("id"),
-            counts=tuple((at.get(c), c.upper()) for c in _COUNT_COLUMNS),
-            shares=tuple((at[c], r, c.upper()) for c, r in _SHARE_COLUMNS.items() if c in at),
-            fwci=tuple((at[c], r, c.upper()) for c, r in _FWCI_COLUMNS.items() if c in at),
-        )
-
-
 @_gc_paused()
 def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     """Parse a delimited author summary table.
@@ -505,15 +475,15 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     sign; a "-" or empty cell is an absent value. With an Id column, the
     author ids must be unique.
     """
-    lines = [
+    lines = (
         (no, line)
         for no, line in enumerate(_split_lines(text), 1)
         if (stripped := line.lstrip()) and stripped[0] != "#"
-    ]
-    if not lines:
+    )
+    header_no, header = next(lines, (0, ""))
+    if not header:
         return []
 
-    header_no, header = lines[0]
     delim = "\t" if "\t" in header else ";"
     columns = [c.strip().lower() for c in header.split(delim)]
     issues: list[ParseIssue] = []
@@ -527,11 +497,17 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     if len(set(columns)) != len(columns):
         raise ParseError([ParseIssue(header_no, "duplicate column in header")])
 
-    layout = _SummaryLayout.from_header(columns)
+    # Cell positions: (position, label) for H, DOC and CIT, None for a
+    # missing column; (position, role, label) for each share and FWCI column.
+    at = {name: i for i, name in enumerate(columns)}
+    counts = [(at.get(c), c.upper()) for c in _COUNT_COLUMNS]
+    shares = [(at[c], role, c.upper()) for c, role in _SHARE_COLUMNS.items() if c in at]
+    fwci = [(at[c], role, c.upper()) for c, role in _FWCI_COLUMNS.items() if c in at]
+    id_at = at.get("id")
     width = len(columns)
     id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         cells = list(map(str.strip, line.split(delim)))
         if len(cells) > width:
             issues.append(
@@ -540,11 +516,11 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
             continue
         cells += [""] * (width - len(cells))
         try:
-            row = _build_summary_row(cells, layout)
+            row = _build_summary_row(cells, at["author"], id_at, counts, shares, fwci)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
-        if layout.id is not None:
+        if id_at is not None:
             first = id_lines.setdefault(row.author, line_no)
             if first != line_no:
                 issues.append(ParseIssue(
@@ -557,42 +533,44 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     return rows
 
 
-def _build_summary_row(cells: list[str], layout: _SummaryLayout) -> AuthorSummaryRow:
-    """One row from its stripped cells. Checks run in a fixed column order
-    (H, DOC, CIT, shares, FWCI), so the first problem reported on a row does
-    not depend on the order of the header."""
-    name = cells[layout.author]
+def _build_summary_row(cells: list[str], author_at: int, id_at: int | None, counts: Sequence,
+                       shares: Sequence, fwci: Sequence) -> AuthorSummaryRow:
+    """One row from its stripped cells, at the positions parse_author_summaries
+    resolved. Checks run in a fixed column order (H, DOC, CIT, shares, FWCI),
+    so the first problem reported on a row does not depend on the order of
+    the header."""
+    name = cells[author_at]
     if not name:
         raise ValueError("empty Author cell")
-    author = (cells[layout.id] if layout.id is not None else "") or name
+    author = (cells[id_at] if id_at is not None else "") or name
 
-    counts = []
-    for at, label in layout.counts:
+    values = []
+    for at, label in counts:
         cell = "" if at is None else cells[at]
         if cell in _ABSENT:
-            counts.append(None)
+            values.append(None)
         elif cell.isascii() and cell.isdigit() and len(cell) < 309:
             # Below 10**308: non-negative and at most the largest double.
-            counts.append(int(cell))
+            values.append(int(cell))
         else:
-            counts.append(_parse_count(cell, label))
-    h, doc, cit = counts
+            values.append(_parse_count(cell, label))
+    h, doc, cit = values
     if doc is not None and doc < 1:
         raise ValueError("DOC must be at least 1")
     if h is not None and doc is not None and h > doc:
         raise ValueError(f"H {h} exceeds DOC {doc}")
 
-    shares: dict[Role, float] = {}
-    for at, role, label in layout.shares:
+    role_shares: dict[Role, float] = {}
+    for at, role, label in shares:
         cell = cells[at]
         if cell not in _ABSENT:
             text = cell[:-1].strip() if cell.endswith("%") else cell
             percent = float(text.replace(",", "."))
             if not 0 <= percent <= 100:
                 raise ValueError(f"{label} share {cell!r} is outside 0..100%")
-            shares[role] = percent / 100.0
+            role_shares[role] = percent / 100.0
     role_fwci: dict[Role, float] = {}
-    for at, role, label in layout.fwci:
+    for at, role, label in fwci:
         cell = cells[at]
         if cell not in _ABSENT:
             value = float(cell.replace(",", "."))
@@ -602,7 +580,8 @@ def _build_summary_row(cells: list[str], layout: _SummaryLayout) -> AuthorSummar
                 raise ValueError(f"{label} must be finite, got {cell!r}")
             role_fwci[role] = value
 
-    return AuthorSummaryRow(author, name, h, doc, cit, shares, role_fwci)
+    return AuthorSummaryRow(author, name, h, doc, cit, role_shares, role_fwci)
+
 
 
 # --- config files -----------------------------------------------------------
