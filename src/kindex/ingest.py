@@ -91,6 +91,9 @@ class Config:
 # Documented values of the pub keys that are checked but read by no indicator.
 _VENUE_TIERS = frozenset({"Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"})
 _FLAGS = frozenset(flag.value for flag in PublicationFlag)
+# Most digits an integer may have: by default int() and str() refuse more.
+_MAX_DIGITS = 4300
+_INT_BOUND = 10**_MAX_DIGITS
 
 # Shared by every record whose optional set-valued field is absent or empty.
 _EMPTY: frozenset = frozenset()
@@ -134,16 +137,20 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
-def _parse_int(text: str) -> int:
-    """An integer written as ASCII digits with an optional leading ``-``.
+def _parse_int(text: str, too_long: str = "integer is too long") -> int:
+    """An integer written as ASCII digits with an optional leading ``-``,
+    at most _MAX_DIGITS of them; ``too_long`` is the message for more.
 
     The other spellings ``int()`` reads (``1_000``, ``+5``, non-ASCII
-    digits) are rejected; text ``int()`` cannot read keeps its message.
+    digits) are rejected; short text ``int()`` cannot read keeps its message.
     """
     digits = text[1:] if text.startswith("-") else text
     if digits.isdigit() and digits.isascii():
+        if len(digits) > _MAX_DIGITS:
+            raise ValueError(too_long)
         return int(text)
-    int(text)  # raises int()'s own message for text it cannot read
+    if len(text) <= _MAX_DIGITS:
+        int(text)  # raises int()'s own message for text it cannot read
     raise ValueError(f"{text!r} is not a plain integer")
 
 
@@ -169,7 +176,7 @@ def _parse_fields(line: str) -> dict[str, str]:
 
 
 def _check_int(key: str, text: str) -> str:
-    _parse_int(text)
+    _parse_int(text, f"{key} has more than {_MAX_DIGITS} digits")
     return text
 
 
@@ -208,6 +215,12 @@ def _check_pairs(key: str, text: str) -> str | None:
     return ",".join(f"{author}:{name}" for author, name in pairs.items()) or None
 
 
+def _write_int(record: str, key: str, value: int) -> str:
+    if -_INT_BOUND < value < _INT_BOUND:
+        return str(value)
+    raise ValueError(f"cannot write {record}: {key} has more than {_MAX_DIGITS} digits")
+
+
 def _write_pairs(record: str, key: str, pairs: Mapping[str, str]) -> str:
     # An author id is checked as a byline item; the pair splits at its first ":".
     return ",".join(f"{_writable(record, key, author, ':')}:{_writable(record, key, name, ',')}"
@@ -231,7 +244,7 @@ _FLAG = "|".join(sorted(_FLAGS))
 _INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
 _ID = _Kind(r"[^\s=](?:[^\t=]*[^\s=])?", lambda key, text: text,
             lambda record, key, value: _writable(record, key, value))
-_INT = _Kind(r"-?[0-9]+", _check_int, lambda record, key, value: str(value))
+_INT = _Kind(rf"-?[0-9]{{1,{_MAX_DIGITS}}}", _check_int, _write_int)
 _FLOAT = _Kind(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", _check_float,
                lambda record, key, value: repr(value))
 _BOOL = _Kind("true|false", _check_bool, lambda record, key, value: "true" if value else "false")
@@ -280,10 +293,11 @@ def _serialized(kind: str) -> re.Pattern[str]:
 # A cite or pub line as dump_publications writes it: keys in _CITE_FIELDS or
 # _PUB_FIELDS order, no "=" in a value, no empty list item, no whitespace
 # (``\s``: what str.strip removes) around a value or list item but at the
-# line's end (a file line's newline). A pub line may also hold venue_tier and
-# indexed (perfbench/gen.py writes both), its integers are ASCII digits after
-# an optional "-", its fwci is spelled as repr() writes a float (float() reads
-# both paths alike, and the record rejects a negative one), its flags are
+# line's end (a file line's newline), and integers of at most _MAX_DIGITS
+# ASCII digits after an optional "-" (the record rejects a negative count).
+# A pub line may also hold venue_tier and indexed (perfbench/gen.py writes
+# both), its fwci is spelled as repr() writes a float (float() reads both
+# paths alike, and the record rejects a negative one), its flags are
 # PublicationFlag values, and its institution pairs have no whitespace next
 # to their first ":". Such a line gives the same groups that _parse_fields
 # and _careful_texts give, and one record constructor reads both.
@@ -412,7 +426,7 @@ def dump_publications(bundle: CorpusBundle) -> str:
     """Serialize a bundle back to corpus-file text (parse round-trips to a
     structurally identical bundle). Optional fields at their defaults are
     omitted. Raises ValueError for an id or name the format cannot read
-    back as it is (see _writable)."""
+    back as it is (see _writable), or an integer of over _MAX_DIGITS digits."""
     lines = []
     for kind, records in (("pub", bundle.publications), ("cite", bundle.citations)):
         # The keys of the record's fields, in field order.
@@ -456,11 +470,12 @@ VALUE_COLUMNS: dict[str, Callable[[AuthorSummaryRow], int | float | None]] = {
 
 
 def _parse_count(cell: str, column: str) -> int:
-    value = _parse_int(cell.replace(" ", "").replace("\u00a0", ""))
+    too_large = f"{column} is too large for a float"
+    value = _parse_int(cell.replace(" ", "").replace("\u00a0", ""), too_large)
     if value < 0:
         raise ValueError(f"{column} must be non-negative, got {value}")
     if value > sys.float_info.max:
-        raise ValueError(f"{column} is too large for a float")
+        raise ValueError(too_large)
     return value
 
 
@@ -503,7 +518,7 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
     counts = [(at.get(c), c.upper()) for c in _COUNT_COLUMNS]
     shares = [(at[c], role, c.upper()) for c, role in _SHARE_COLUMNS.items() if c in at]
     fwci = [(at[c], role, c.upper()) for c, role in _FWCI_COLUMNS.items() if c in at]
-    id_at = at.get("id")
+    author_at, id_at = at["author"], at.get("id")
     width = len(columns)
     id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
@@ -516,7 +531,7 @@ def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
             continue
         cells += [""] * (width - len(cells))
         try:
-            row = _build_summary_row(cells, at["author"], id_at, counts, shares, fwci)
+            row = _build_summary_row(cells, author_at, id_at, counts, shares, fwci)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue

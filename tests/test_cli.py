@@ -65,6 +65,19 @@ class TestValidate:
         assert err.startswith(f"cannot read {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("offset", [20000, 24490])
+    def test_decode_error_names_the_file_offset(self, tmp_path, capsys, offset):
+        # Past the first 8 KB, a file read in chunks would report the
+        # position within its chunk instead.
+        lines = b"".join(b"type=pub\tpub_id=p%d\tyear=2020\tauthors=a\n" % i
+                         for i in range(offset // 40 + 1))
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(lines[:offset] + b"\xff\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                       f"position {offset}: invalid start byte\n")
+
 
 class TestMetrics:
     def test_summary_rows_match_reference_rating(self, capsys):

@@ -3,6 +3,7 @@ import math
 import re
 from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,10 +105,12 @@ class TestCheckedOnlyKeys:
     still checked, at the same place among the checks of a line."""
 
     _PUB = {"type": "pub", "pub_id": "p1", "year": "2019", "authors": "a"}
+    _CITE = {"type": "cite", "citing_pub": "q", "cited_pub": "p1"}
 
     def _parse(self, **fields):
+        base = self._CITE if fields.get("type") == "cite" else self._PUB
         return parse_publications(
-            "\t".join(f"{k}={v}" for k, v in (self._PUB | fields).items()) + "\n"
+            "\t".join(f"{k}={v}" for k, v in (base | fields).items()) + "\n"
         )
 
     @pytest.mark.parametrize("tier", ["Q1", "Q2", "Q3", "Q4", "BOOK", "UNRANKED"])
@@ -123,6 +126,15 @@ class TestCheckedOnlyKeys:
         ({"year": "x1", "indexed": "maybe"}, "invalid literal for int() with base 10: 'x1'"),
         ({"venue_tier": "Q9", "fwci": "zz"}, "unknown venue_tier 'Q9'"),
         ({"authors": "a,a", "indexed": "nope"}, "expected true or false, got 'nope'"),
+        # each pair of neighbours in the check order: institutions, flags,
+        # venue_tier, fwci, year, indexed, alphabetical; a cite's citing_indexed
+        # before its mentions
+        ({"institutions": "a", "flags": "ODD"}, "institution entry 'a' is not author:name"),
+        ({"flags": "ODD", "venue_tier": "Q9"}, "unknown flag 'ODD'"),
+        ({"fwci": "zz", "year": "x1"}, "could not convert string to float: 'zz'"),
+        ({"indexed": "maybe", "alphabetical": "yes"}, "expected true or false, got 'maybe'"),
+        ({"type": "cite", "mentions": "x", "citing_indexed": "maybe"},
+         "expected true or false, got 'maybe'"),
     ])
     def test_first_error_on_the_line(self, fields, message):
         with pytest.raises(ParseError) as err:
@@ -254,6 +266,98 @@ class TestNumberRejections:
         with pytest.raises(ParseError) as err:
             parse_author_summaries(text)
         assert str(err.value) == f"line 2: {cell!r} is not a plain integer"
+
+
+_LONG = "9" * 5000
+
+
+class TestIntegerLength:
+    """Integers of more than 4300 digits, which int() and str() refuse by
+    default, are reported by field; shorter ones read and write as before."""
+
+    @pytest.mark.parametrize("text,message", [
+        (f"type=pub\tpub_id=p1\tyear={_LONG}\tauthors=a\n", "year has more than 4300 digits"),
+        (f"type=pub\tyear=-{_LONG}\tpub_id=p1\tauthors=a\n", "year has more than 4300 digits"),
+        (f"type=pub\tpub_id=p1\tyear=1\tauthors=a\n"
+         f"type=cite\tciting_pub=q\tcited_pub=p1\tmentions={_LONG}\n",
+         "mentions has more than 4300 digits"),
+        (f"type=pub\tpub_id=p1\tyear=1\tauthors=a\n"
+         f"type=cite\tmentions={_LONG}\tciting_pub=q\tcited_pub=p1\n",
+         "mentions has more than 4300 digits"),
+    ], ids=["year", "reordered-year", "mentions", "reordered-mentions"])
+    def test_corpus_integer_names_its_field(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_publications(text)
+        [issue] = err.value.issues
+        assert (issue.line_no, issue.message) == (text.count("\n"), message)
+
+    @pytest.mark.parametrize("cell", [_LONG, f"-{_LONG}", f"1 {_LONG}"],
+                             ids=["digits", "negative", "grouped"])
+    def test_summary_count_is_too_large_for_a_float(self, cell):
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(f"Author\tCIT\nA\t{cell}\n")
+        assert str(err.value) == "line 2: CIT is too large for a float"
+
+    @pytest.mark.parametrize("bundle,message", [
+        (CorpusBundle((PublicationRecord("p", 1, ("a",)),),
+                      (CitationRecord("q", "p", mention_count=10**5000),)),
+         "cannot write cite 'q' -> 'p': mentions has more than 4300 digits"),
+        (CorpusBundle((PublicationRecord("p", -10**4300, ("a",)),)),
+         "cannot write pub 'p': year has more than 4300 digits"),
+    ], ids=["mentions", "year"])
+    def test_writer_names_the_record_and_the_field(self, bundle, message):
+        with pytest.raises(ValueError) as err:
+            dump_publications(bundle)
+        assert str(err.value) == message
+
+    def test_4300_digits_read_and_write_back(self):
+        digits = "9" * 4300
+        text = (f"type=pub\tpub_id=p1\tyear=-{digits}\tauthors=a\n"
+                f"type=cite\tciting_pub=q\tcited_pub=p1\tmentions={digits}\n")
+        bundle = parse_publications(text)
+        assert bundle.publications[0].year == -int(digits)
+        assert bundle.citations[0].mention_count == int(digits)
+        assert dump_publications(bundle) == text
+        assert parse_publications(text.replace("\t", " \t")) == bundle  # off the fast path
+
+
+def _documented_keys(record):
+    """(key, required) for each row of docs/formats.md's ``record`` table."""
+    docs = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    table = docs.split(f"### `{record}` records", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return [(key.strip().strip("`"), required.strip() == "yes") for key, required in rows]
+
+
+class TestDocumentedKeyTables:
+    """docs/formats.md lists each record kind's keys in the serializer's
+    order, and marks as required exactly the keys the parser requires."""
+
+    _PUB = "type=pub\tpub_id=p1\tyear=2020\tauthors=a\n"
+
+    @pytest.mark.parametrize("record,fields,line", [
+        ("pub", ingest._PUB_FIELDS,
+         "type=pub\tpub_id=p2\tyear=2020\tauthors=a\tcorresponding=a\tvenue_tier=Q1\tfwci=1.5"
+         "\tindexed=true\talphabetical=true\tflags=ERRONEOUS\tinstitutions=a:X"),
+        ("cite", ingest._CITE_FIELDS,
+         "type=cite\tciting_pub=q\tcited_pub=p1\tciting_authors=b\tciting_institutions=Y"
+         "\tciting_indexed=false\tmentions=2"),
+    ])
+    def test_keys_order_and_required_flags(self, record, fields, line):
+        documented = _documented_keys(record)
+        tokens = line.split("\t")
+        assert [key for key, _ in documented] == list(fields) == [
+            token.partition("=")[0] for token in tokens[1:]]
+        parse_publications(self._PUB + line)
+        required = []
+        for i, key in enumerate(fields, 1):
+            try:
+                parse_publications(self._PUB + "\t".join(tokens[:i] + tokens[i + 1:]))
+            except ParseError as exc:
+                [issue] = exc.issues
+                assert issue.message == f"{record} record missing required field(s) {[key]}"
+                required.append(key)
+        assert required == [key for key, is_required in documented if is_required]
 
 
 class TestDuplicateIds:
