@@ -8,7 +8,6 @@ activity summaries.
 """
 
 from .analytics import (
-    RankingTable,
     UndefinedCorrelationError,
     YearlySummaryRow,
     linear_trend,
@@ -56,7 +55,6 @@ from .model import (
     PublicationFlag,
     PublicationRecord,
     Role,
-    RoleAssignment,
     RoleProfile,
     build_role_profile,
     classify_roles,
@@ -81,9 +79,7 @@ __all__ = [
     "ParseIssue",
     "PublicationFlag",
     "PublicationRecord",
-    "RankingTable",
     "Role",
-    "RoleAssignment",
     "RoleProfile",
     "UndefinedCorrelationError",
     "YearlySummaryRow",

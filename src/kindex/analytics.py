@@ -27,14 +27,6 @@ class YearlySummaryRow:
     cit_per_doc: float
 
 
-@dataclass(frozen=True)
-class RankingTable:
-    """Authors ordered by one metric; ranks are contiguous from 1."""
-
-    key: str
-    rows: tuple[tuple[int, AuthorMetrics], ...]
-
-
 def _unit_scaled(values: Sequence[float]) -> tuple[list[float], int]:
     """``(values * 2**-e, e)``, ``2**e`` just above the largest magnitude. The
     scaling is exact for normal floats, so a statistic of the scaled values,
@@ -55,20 +47,23 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise UndefinedCorrelationError(str(exc)) from None
 
 
-def linear_trend(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Ordinary least-squares fit; returns (slope, intercept). Raises
-    UndefinedCorrelationError if the line at some point's x exceeds a float."""
-    if len(points) < 2:
+def linear_trend(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Ordinary least-squares fit of two equal-length series; returns (slope,
+    intercept). Raises UndefinedCorrelationError if the line at some x
+    exceeds a float."""
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
         raise ValueError("trend fit needs at least two points")
-    xs, x_exp = _unit_scaled([p[0] for p in points])
-    ys, y_exp = _unit_scaled([p[1] for p in points])
+    xs, x_exp = _unit_scaled(x)
+    ys, y_exp = _unit_scaled(y)
     try:
         slope, intercept = statistics.linear_regression(xs, ys)
     except statistics.StatisticsError as exc:
         raise ValueError(f"degenerate x values: {exc}") from None
     try:
         slope, intercept = math.ldexp(slope, y_exp - x_exp), math.ldexp(intercept, y_exp)
-        if all(math.isfinite(slope * x + intercept) for x, _ in points):
+        if all(math.isfinite(slope * v + intercept) for v in x):
             return slope, intercept
     except OverflowError:
         pass
@@ -80,21 +75,17 @@ def _key_value(metrics: AuthorMetrics, key: str) -> float:
     return float("-inf") if value is None else float(value)
 
 
-def rank_authors(metrics: Sequence[AuthorMetrics], key: str) -> RankingTable:
-    """Rank authors by ``key`` descending.
+def rank_authors(metrics: Sequence[AuthorMetrics], key: str) -> list[AuthorMetrics]:
+    """The authors in rank order: by ``key`` descending.
 
     Ties break by CIT/DOC descending, then display name ascending; the
     result does not depend on input order.
     """
     if key not in RANK_KEYS:
         raise KeyError(f"unknown ranking key {key!r}; choose from {RANK_KEYS}")
-    ordered = sorted(
+    return sorted(
         metrics,
         key=lambda m: (-_key_value(m, key), -m.cit_per_doc, m.display_name, m.author),
-    )
-    return RankingTable(
-        key=key,
-        rows=tuple((rank, m) for rank, m in enumerate(ordered, 1)),
     )
 
 

@@ -191,9 +191,8 @@ def cmd_metrics(args) -> str:
 def cmd_rank(args) -> str:
     config, precision = _load_settings(args)
     metrics = _collect_metrics(args, config.filters)
-    table = rank_authors(metrics, args.key)
-    ranks = [str(rank) for rank, _ in table.rows]
-    ranked = [m for _, m in table.rows]
+    ranked = rank_authors(metrics, args.key)
+    ranks = [str(rank) for rank in range(1, len(ranked) + 1)]
     if args.format == "plotdata":
         values = _fmt_column(map(attrgetter(args.key), ranked), precision)
         return _render_plotdata(zip(repeat(args.key), ranks, values))
@@ -205,25 +204,24 @@ def cmd_rank(args) -> str:
 def cmd_correlate(args) -> str:
     _, precision = _load_settings(args)
     rows = parse_author_summaries(_read(args.summary))
-    extractors = {}
+    extractors = []
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()
         if key not in VALUE_COLUMNS:
             raise _Fail(2, [f"unknown column {name!r} for --{axis}"])
-        extractors[axis] = VALUE_COLUMNS[key]
-    pairs = []
+        extractors.append(VALUE_COLUMNS[key])
+    x_of, y_of = extractors
+    xs, ys = [], []
     for row in rows:
-        x_val = extractors["x"](row)
-        y_val = extractors["y"](row)
+        x_val, y_val = x_of(row), y_of(row)
         if x_val is not None and y_val is not None:
-            pairs.append((float(x_val), float(y_val)))
-    if len(pairs) < 2:
+            xs.append(float(x_val))
+            ys.append(float(y_val))
+    if len(xs) < 2:
         raise UndefinedCorrelationError("fewer than two complete pairs")
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
     r = pearson(xs, ys)  # run for plotdata too: it rejects a constant column
     if args.format == "plotdata":
-        slope, intercept = linear_trend(pairs)
+        slope, intercept = linear_trend(xs, ys)
         series = list(zip(repeat("points"), _fmt_column(xs, precision), _fmt_column(ys, precision)))
         # One trend point per distinct x, so few cells: each goes through
         # fmt_value, which keeps perfbench's cli.fmt tally counting calls.
@@ -233,7 +231,7 @@ def cmd_correlate(args) -> str:
         )
         return _render_plotdata(series)
     header = ["x", "y", "n", "r"]
-    columns = [[args.x], [args.y], [str(len(pairs))], [fmt_value(r, max(precision, 4))]]
+    columns = [[args.x], [args.y], [str(len(xs))], [fmt_value(r, max(precision, 4))]]
     return _render(args.format, header, columns)
 
 

@@ -1,8 +1,9 @@
 """Domain model: publications, citations and coauthorship roles.
 
-Everything here is an immutable value object; the two operations
-(classify_roles, build_role_profile) are pure functions, so they are safe
-to evaluate in parallel across authors or publications.
+The records, role profiles and corpus bundles are immutable values.
+classify_roles (one publication's roles, as a mapping from each byline
+author to a frozenset) and build_role_profile are pure functions, so they
+are safe to evaluate in parallel across authors or publications.
 
 PublicationRecord and CitationRecord are validated immutable tuples
 (named-tuple subclasses), which are much cheaper to build than frozen
@@ -174,14 +175,6 @@ class CitationRecord(_CitationFields):
 
 
 @dataclass(frozen=True)
-class RoleAssignment:
-    """Roles held by each author of one publication."""
-
-    publication: str
-    roles: Mapping[AuthorId, frozenset[Role]]
-
-
-@dataclass(frozen=True)
 class RoleProfile:
     """Per-author role shares and per-role mean FWCI.
 
@@ -263,12 +256,9 @@ def _roles_in(pub: PublicationRecord, author: AuthorId) -> tuple[Role, ...]:
     return (position, Role.CORA) if author in pub.corresponding else (position,)
 
 
-def classify_roles(pub: PublicationRecord) -> RoleAssignment:
-    """Assign coauthorship roles from the byline (the rule of ``_roles_in``)."""
-    return RoleAssignment(
-        publication=pub.pub_id,
-        roles={a: frozenset(_roles_in(pub, a)) for a in pub.authors},
-    )
+def classify_roles(pub: PublicationRecord) -> dict[AuthorId, frozenset[Role]]:
+    """The roles each byline author holds in ``pub`` (the rule of ``_roles_in``)."""
+    return {a: frozenset(_roles_in(pub, a)) for a in pub.authors}
 
 
 def build_role_profile(

@@ -374,12 +374,11 @@ class TestRoleRule:
         assignments = {}
         for pub in corpus.publications:
             assignments[pub.pub_id] = classify_roles(pub)
-            assert assignments[pub.pub_id].publication == pub.pub_id
-            assert assignments[pub.pub_id].roles == {
+            assert assignments[pub.pub_id] == {
                 author: byline_roles(pub, i) for i, author in enumerate(pub.authors)}
         for author in corpus.publications_by_author:
             own = [p for p in corpus.publications if author in p.authors]
-            held = {role: [p for p in own if role in assignments[p.pub_id].roles[author]]
+            held = {role: [p for p in own if role in assignments[p.pub_id][author]]
                     for role in Role}
             role_fwci = {}
             for role, pubs in held.items():

@@ -33,22 +33,22 @@ def pub(pub_id, authors, corresponding=(), fwci=None, **kwargs):
 
 class TestClassifyRoles:
     def test_single_author_is_sa(self):
-        roles = classify_roles(pub("p", ["A"])).roles
+        roles = classify_roles(pub("p", ["A"]))
         assert roles == {"A": frozenset({Role.SA})}
 
     def test_single_author_keeps_corresponding(self):
-        roles = classify_roles(pub("p", ["A"], corresponding=["A"])).roles
+        roles = classify_roles(pub("p", ["A"], corresponding=["A"]))
         assert roles["A"] == {Role.SA, Role.CORA}
 
     def test_four_authors_with_corresponding_middle(self):
-        roles = classify_roles(pub("p", "ABCD", corresponding=["B"])).roles
+        roles = classify_roles(pub("p", "ABCD", corresponding=["B"]))
         assert roles["A"] == {Role.FA}
         assert roles["B"] == {Role.COA, Role.CORA}
         assert roles["C"] == {Role.COA}
         assert roles["D"] == {Role.LA}
 
     def test_two_authors_have_no_middle(self):
-        roles = classify_roles(pub("p", "AB")).roles
+        roles = classify_roles(pub("p", "AB"))
         assert roles == {"A": frozenset({Role.FA}), "B": frozenset({Role.LA})}
 
     def test_duplicate_author_rejected(self):
@@ -61,7 +61,7 @@ class TestClassifyRoles:
         for _ in range(50):
             n = rng.randint(2, 12)
             authors = [f"a{i}" for i in range(n)]
-            roles = classify_roles(pub("p", authors)).roles
+            roles = classify_roles(pub("p", authors))
             flat = [r for rs in roles.values() for r in rs]
             assert flat.count(Role.FA) == 1
             assert flat.count(Role.LA) == 1
