@@ -16,8 +16,9 @@ does):
   dedupe          collapse repeated mentions within one citing document
   self            drop links from documents sharing an author with the
                   cited publication
-  associate       drop links from close associates of the target author
-                  (current/former coauthors, or the author's institutions)
+  associate       drop links from close associates of the target author: a
+                  citing author who is a current/former coauthor, or a
+                  citing institution that is one of the author's own
   one_per_author  at most one accepted unit per (citing document, cited
                   publication) pair
 """
@@ -78,16 +79,21 @@ class FilterAudit:
             self.rejected[rule] = self.rejected.get(rule, 0) + units
 
 
-def close_associates(author: AuthorId, corpus: CorpusBundle) -> frozenset[str]:
-    """Coauthors of ``author`` across the corpus, plus the author's own
-    institution strings. The author themself is not included."""
-    associates: set[str] = set()
+def close_associates(
+    author: AuthorId, corpus: CorpusBundle
+) -> tuple[frozenset[AuthorId], frozenset[str]]:
+    """``(coauthors, institutions)``: the coauthors of ``author`` across the
+    corpus (not the author themself) and the author's own institution
+    strings. Author ids and institution names are kept apart, so an id is
+    never matched against a name."""
+    coauthors: set[AuthorId] = set()
+    institutions: set[str] = set()
     for pub in corpus.authored(author):
-        associates.update(a for a in pub.authors if a != author)
+        coauthors.update(a for a in pub.authors if a != author)
         inst = pub.institution_by_author.get(author)
         if inst:
-            associates.add(inst)
-    return frozenset(associates)
+            institutions.add(inst)
+    return frozenset(coauthors), frozenset(institutions)
 
 
 def filter_citations(
@@ -101,10 +107,10 @@ def filter_citations(
     """
     by_id = corpus.publications_by_id()
     own = corpus.authored(target_author)
-    associates = (
+    coauthors, institutions = (
         close_associates(target_author, corpus)
         if cfg.exclude_close_associates
-        else frozenset()
+        else (frozenset(), frozenset())
     )
 
     audits: list[FilterAudit] = []
@@ -133,8 +139,8 @@ def filter_citations(
                 audit._reject(RULE_SELF, units)
                 continue
             if cfg.exclude_close_associates and not (
-                associates.isdisjoint(link.citing_authors)
-                and associates.isdisjoint(link.citing_institutions)
+                coauthors.isdisjoint(link.citing_authors)
+                and institutions.isdisjoint(link.citing_institutions)
             ):
                 audit._reject(RULE_ASSOCIATE, units)
                 continue

@@ -61,12 +61,12 @@ class TestCloseAssociates:
         corpus = CorpusBundle(
             publications=(pub("p1", ["solo"], institution_by_author={"solo": "Inst A"}),)
         )
-        assert close_associates("solo", corpus) == {"Inst A"}
+        assert close_associates("solo", corpus) == (set(), {"Inst A"})
 
     def test_symmetry(self):
         corpus = CorpusBundle(publications=(pub("p1", ["a", "b"]),))
-        assert "b" in close_associates("a", corpus)
-        assert "a" in close_associates("b", corpus)
+        assert "b" in close_associates("a", corpus)[0]
+        assert "a" in close_associates("b", corpus)[0]
 
     def test_unknown_author(self):
         corpus = CorpusBundle(publications=(pub("p1", ["a"]),))
@@ -84,14 +84,14 @@ class TestCloseAssociates:
         )
         # oracle: brute-force pairwise scan over all publication pairs
         for author in "abcde":
-            expected = set()
+            coauthors, institutions = set(), set()
             for p in corpus.publications:
                 if author in p.authors:
-                    expected |= {x for x in p.authors if x != author}
+                    coauthors |= {x for x in p.authors if x != author}
                     inst = p.institution_by_author.get(author)
                     if inst:
-                        expected.add(inst)
-            assert close_associates(author, corpus) == expected
+                        institutions.add(inst)
+            assert close_associates(author, corpus) == (coauthors, institutions)
 
 
 class TestFilterExamples:
@@ -220,11 +220,12 @@ INSTITUTIONS = ("Inst A", "Inst B")
 
 
 @st.composite
-def small_bundles(draw) -> CorpusBundle:
+def small_bundles(draw, institutions=INSTITUTIONS) -> CorpusBundle:
     """A few publications by a small author pool (so authors sit on many
     publications and institutions are shared), cited by links drawn from a
     small id pool (so (citing, cited) pairs repeat), with multi-mention,
-    unindexed and flagged in-corpus citing documents."""
+    unindexed and flagged in-corpus citing documents. ``institutions`` is
+    the pool of institution names."""
     n_pubs = draw(st.integers(1, 5))
     pub_ids = [f"p{i}" for i in range(n_pubs)]
     publications = []
@@ -241,7 +242,7 @@ def small_bundles(draw) -> CorpusBundle:
             flags=frozenset(draw(st.sets(st.sampled_from(PublicationFlag),
                                          max_size=1))),
             institution_by_author=draw(st.dictionaries(
-                st.sampled_from(byline), st.sampled_from(INSTITUTIONS))),
+                st.sampled_from(byline), st.sampled_from(institutions))),
         ))
     citing_ids = st.sampled_from(pub_ids + ["x0", "x1"])
     citations = []
@@ -254,7 +255,7 @@ def small_bundles(draw) -> CorpusBundle:
             citing_authors=tuple(draw(st.lists(st.sampled_from(AUTHORS + ("z",)),
                                                max_size=3, unique=True))),
             citing_institutions=frozenset(draw(st.sets(
-                st.sampled_from(INSTITUTIONS + ("Inst Z",))))),
+                st.sampled_from(institutions + ("Inst Z",))))),
             citing_indexed=draw(st.booleans()),
             mention_count=draw(st.integers(1, 3)),
         ))
@@ -269,12 +270,12 @@ def scan_own(author, corpus):
 
 
 def scan_close_associates(author, corpus):
-    found = set()
+    coauthors, institutions = set(), set()
     for p in scan_own(author, corpus):
-        found |= {x for x in p.authors if x != author}
+        coauthors |= {x for x in p.authors if x != author}
         if p.institution_by_author.get(author):
-            found.add(p.institution_by_author[author])
-    return found
+            institutions.add(p.institution_by_author[author])
+    return coauthors, institutions
 
 
 def scan_filter_citations(author, corpus, cfg):
@@ -282,7 +283,7 @@ def scan_filter_citations(author, corpus, cfg):
     unit to the first rule that matches."""
     by_id = {p.pub_id: p for p in corpus.publications}
     own = scan_own(author, corpus)
-    associates = scan_close_associates(author, corpus)
+    coauthors, institutions = scan_close_associates(author, corpus)
     audits = {p.pub_id: FilterAudit(cited_pub=p.pub_id) for p in own}
     accepted_pairs = set()
     for link in corpus.citations:
@@ -303,7 +304,7 @@ def scan_filter_citations(author, corpus, cfg):
             if cfg.exclude_self and citers & set(by_id[link.cited_pub].authors):
                 audit._reject("self", units)
             elif cfg.exclude_close_associates and (
-                    (citers | link.citing_institutions) & associates):
+                    citers & coauthors or link.citing_institutions & institutions):
                 audit._reject("associate", units)
             elif cfg.one_per_author_per_source and pair in accepted_pairs:
                 audit._reject("one_per_author", units)
@@ -353,6 +354,27 @@ class TestIndexAgainstFullScan:
                     len(own), cit, h_index(a.accepted for a in audits))
                 assert (metrics.k_r, metrics.fwci_total) == (k_r, fwci)
                 assert metrics.k_exact == k_index(k_r, fwci, cit, len(own))[0]
+
+
+class TestAssociateRule:
+    """Citing authors are matched against the coauthors only, and citing
+    institutions against the author's own institutions only, also when an
+    author id is spelled like an institution name."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_bundles(institutions=AUTHORS[:2]))
+    def test_ids_and_names_are_never_compared(self, corpus):
+        rule = config_with(exclude_close_associates=True)
+        for author, own in corpus.publications_by_author.items():
+            coauthors = {a for p in own for a in p.authors} - {author}
+            names = {p.institution_by_author[author] for p in own
+                     if author in p.institution_by_author}
+            assert close_associates(author, corpus) == (coauthors, names)
+            kept = sum(link.mention_count for link in corpus.citations
+                       if link.cited_pub in {p.pub_id for p in own}
+                       and not coauthors & set(link.citing_authors)
+                       and not names & link.citing_institutions)
+            assert filter_citations(author, corpus, rule)[0] == kept
 
 
 def byline_roles(pub: PublicationRecord, position: int) -> set[Role]:
