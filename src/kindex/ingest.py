@@ -154,8 +154,13 @@ def _parse_int(text: str, too_long: str = "integer is too long") -> int:
     raise ValueError(f"{text!r} is not a plain integer")
 
 
-def _split_list(value: str) -> list[str]:
-    return [name for item in value.split(",") if (name := item.strip())]
+def _split_list(key: str, value: str) -> list[str]:
+    """The stripped items of a list value, none for an empty value; an empty
+    item in a non-empty list is refused."""
+    items = [item.strip() for item in value.split(",")] if value else []
+    if "" in items:
+        raise ValueError(f"{key} has an empty item")
+    return items
 
 
 def _parse_fields(line: str) -> dict[str, str]:
@@ -180,10 +185,9 @@ def _check_int(key: str, text: str) -> str:
     return text
 
 
-def _check_float(key: str, text: str) -> str | None:
-    if text:
-        float(text)
-    return text or None
+def _check_float(key: str, text: str) -> str:
+    float(text)
+    return text
 
 
 def _check_bool(key: str, text: str) -> str:
@@ -198,7 +202,7 @@ def _check_tier(key: str, text: str) -> str:
 
 
 def _check_flags(key: str, text: str) -> str | None:
-    flags = _split_list(text)
+    flags = _split_list(key, text)
     for flag in flags:
         if flag not in _FLAGS:
             raise ValueError(f"unknown flag {flag!r}")
@@ -207,7 +211,7 @@ def _check_flags(key: str, text: str) -> str | None:
 
 def _check_pairs(key: str, text: str) -> str | None:
     pairs: dict[str, str] = {}
-    for pair in _split_list(text):
+    for pair in _split_list(key, text):
         author, sep, name = pair.partition(":")
         if not sep:
             raise ValueError(f"institution entry {pair!r} is not author:name")
@@ -248,7 +252,7 @@ _INT = _Kind(rf"-?[0-9]{{1,{_MAX_DIGITS}}}", _check_int, _write_int)
 _FLOAT = _Kind(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", _check_float,
                lambda record, key, value: repr(value))
 _BOOL = _Kind("true|false", _check_bool, lambda record, key, value: "true" if value else "false")
-_LIST = _Kind(_ITEMS, lambda key, text: ",".join(_split_list(text)) or None,
+_LIST = _Kind(_ITEMS, lambda key, text: ",".join(_split_list(key, text)) or None,
               lambda record, key, value: _writable_items(record, key, value))
 _SET = _LIST._replace(write=lambda record, key, value: _writable_items(record, key, sorted(value)))
 _FLAG_SET = _Kind(f"(?:{_FLAG})(?:,(?:{_FLAG}))*", _check_flags,
@@ -413,8 +417,8 @@ def _writable(record: str, key: str, text: str, stops: str = "") -> str:
 
 
 def _writable_items(record: str, key: str, items: Sequence[str]) -> str:
-    """The list items joined by ",", each checked by _writable; an empty
-    item would be dropped, so it is refused too."""
+    """The list items joined by ",", each checked by _writable; the parser
+    refuses an empty item, so it is refused too."""
     for item in items:
         if not item:
             raise ValueError(f"cannot write {record}: {key} has an empty item")

@@ -145,8 +145,8 @@ class CitationRecord(_CitationFields):
     The citing document may be external to the corpus, so its authors,
     institutions and indexing status are carried inline. ``mention_count``
     is how many times the cited work is referenced within the citing
-    document. Construction raises MalformedRecordError for a self-citation
-    or a ``mention_count`` below 1.
+    document. Construction raises MalformedRecordError for an empty
+    ``citing_pub``, a self-citation or a ``mention_count`` below 1.
     """
 
     __slots__ = ()
@@ -161,6 +161,8 @@ class CitationRecord(_CitationFields):
         citing_indexed: bool = True,
         mention_count: int = 1,
     ) -> "CitationRecord":
+        if not citing_pub:
+            raise MalformedRecordError("citation has empty citing_pub")
         if citing_pub == cited_pub:
             raise MalformedRecordError(f"citation of {cited_pub!r} cites itself")
         if mention_count < 1:

@@ -321,6 +321,68 @@ class TestIntegerLength:
         assert parse_publications(text.replace("\t", " \t")) == bundle  # off the fast path
 
 
+# A pub line and a cite line holding every list key of their kind, each at a
+# valid value of several items; the corpus puts the line after pub p0.
+_LIST_FIELDS = {
+    "pub": {"pub_id": "p1", "year": "2020", "authors": "a,b,c", "corresponding": "a,b",
+            "flags": "ERRONEOUS,NONSCIENTIFIC", "institutions": "a:X,b:Lab 2: Y"},
+    "cite": {"citing_pub": "q", "cited_pub": "p0", "citing_authors": "u,v w",
+             "citing_institutions": "X,Inst Y"},
+}
+_LIST_KEYS = ("authors", "corresponding", "flags", "institutions", "citing_authors",
+              "citing_institutions")
+
+
+def _kind_of(key):
+    return "pub" if key in _LIST_FIELDS["pub"] else "cite"
+
+
+def _corpus_with(kind, fields):
+    line = "\t".join(f"{key}={value}" for key, value in {"type": kind, **fields}.items())
+    return "type=pub\tpub_id=p0\tyear=2020\tauthors=a\n" + line
+
+
+class TestEmptyValues:
+    """An empty value that docs/formats.md does not allow is refused, not
+    read as absent: an empty item inside a list, ``fwci=`` and an empty
+    ``citing_pub``. A wholly empty list is still a list of no items."""
+
+    @given(st.sampled_from(_LIST_KEYS), st.data())
+    def test_an_empty_item_anywhere_in_a_list_is_refused(self, key, data):
+        kind, n = _kind_of(key), data.draw(st.integers(1, 3))
+        fields = {k: ",".join(v.split(",")[:n]) if k in _LIST_KEYS else v
+                  for k, v in _LIST_FIELDS[kind].items()}
+        parse_publications(_corpus_with(kind, fields))
+        items = fields[key].split(",")
+        items.insert(data.draw(st.integers(0, len(items))),
+                     data.draw(st.sampled_from(["", " ", "\xa0"])))
+        fields[key] = ",".join(items)
+        fields = dict(data.draw(st.permutations(list(fields.items()))))
+        with pytest.raises(ParseError) as err:
+            parse_publications(_corpus_with(kind, fields))
+        assert [str(issue) for issue in err.value.issues] == [f"line 2: {key} has an empty item"]
+
+    @pytest.mark.parametrize("key,message", [
+        ("fwci", "could not convert string to float: ''"),
+        ("citing_pub", "citation has empty citing_pub"),
+        ("authors", "publication 'p1' has no authors"),
+    ])
+    def test_an_empty_value_is_refused(self, key, message):
+        kind = "cite" if key == "citing_pub" else "pub"
+        fields = {**_LIST_FIELDS[kind], key: ""}
+        with pytest.raises(ParseError) as err:
+            parse_publications(_corpus_with(kind, fields))
+        assert [str(issue) for issue in err.value.issues] == [f"line 2: {message}"]
+
+    @pytest.mark.parametrize("key", _LIST_KEYS[1:])
+    def test_a_wholly_empty_list_holds_no_items(self, key):
+        kind = _kind_of(key)
+        fields = {**_LIST_FIELDS[kind], key: ""}
+        empty = parse_publications(_corpus_with(kind, fields))
+        del fields[key]
+        assert empty == parse_publications(_corpus_with(kind, fields))
+
+
 def _documented_keys(record):
     """(key, required) for each row of docs/formats.md's ``record`` table."""
     docs = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
@@ -920,7 +982,7 @@ def _raw_bundles(draw):
     for _ in range(draw(st.integers(0, 3))):
         cited = draw(st.sampled_from(pub_ids))
         cites.append(CitationRecord(
-            draw(_RAW.filter(lambda s: s != cited)), cited,
+            draw(_RAW.filter(lambda s: s and s != cited)), cited,
             tuple(draw(st.lists(_RAW, max_size=2))), frozenset(draw(st.lists(_RAW, max_size=2))),
         ))
     return CorpusBundle(tuple(pubs), tuple(cites))
