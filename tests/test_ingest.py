@@ -12,6 +12,7 @@ import kindex.ingest as ingest
 from kindex import (
     AuthorSummaryRow,
     CitationRecord,
+    Config,
     ConfigError,
     CorpusBundle,
     ParseError,
@@ -420,6 +421,27 @@ class TestDocumentedKeyTables:
                 assert issue.message == f"{record} record missing required field(s) {[key]}"
                 required.append(key)
         assert required == [key for key, is_required in documented if is_required]
+
+
+class TestDocumentedTables:
+    """docs/formats.md lists exactly the summary columns and the config keys
+    the parsers accept, with the config defaults they apply."""
+
+    _DOCS = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+
+    def test_summary_header_names_every_known_column(self):
+        names = self._DOCS.split("must come from this set", 1)[1].split("\n\n")[1].split()
+        assert len(names) == len(set(names))
+        assert {name.lower() for name in names} == ingest._KNOWN_COLUMNS
+        assert parse_author_summaries("\t".join(names)) == []
+
+    def test_config_table_names_every_accepted_key(self):
+        table = self._DOCS.split("## Config files", 1)[1].split("\n\n")[2]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+                for line in table.splitlines()[2:]]
+        assert {key for key, _ in rows} == set(ingest._RULE_KEYS) | {"precision"}
+        for key, default in rows:
+            assert load_config(f"{key}={default}\n") == Config()
 
 
 class TestDuplicateIds:
