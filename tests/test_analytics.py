@@ -105,6 +105,10 @@ class TestLinearTrend:
         with pytest.raises(ValueError):
             linear_trend([1, 1], [2, 3])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            linear_trend([1, 2], [1, 2, 3])
+
 
 # Values with a fixed number of decimals, so none is subnormal.
 _MODERATE = st.integers(-10**9, 10**9).map(lambda n: n / 1000)
@@ -151,13 +155,13 @@ class TestRescaling:
         assert slope == pytest.approx(-0.05e308)
         assert intercept == pytest.approx(1.75e308)
 
-    @pytest.mark.parametrize("x,y", [
-        ([0.0, 1e-300], [0.0, 1e308]),                           # the slope
-        ([0.0, 1.0, 2.0], [-1.7e308, 1.7e308, 1.7e308]),         # the line at x = 2
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.0), (1e-300, 1e308)],                           # the slope
+        [(0.0, -1.7e308), (1.0, 1.7e308), (2.0, 1.7e308)],       # the line at x = 2
     ])
-    def test_trend_too_large_for_a_float(self, x, y):
+    def test_trend_too_large_for_a_float(self, points):
         with pytest.raises(UndefinedCorrelationError, match="too large for a float"):
-            linear_trend(x, y)
+            linear_trend(*zip(*points))
 
 
 def metrics(author, k_display=0, k_exact=0.0, h=0, cpd=0.0, name=None):
