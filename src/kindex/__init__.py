@@ -55,7 +55,6 @@ from .model import (
     PublicationFlag,
     PublicationRecord,
     Role,
-    RoleProfile,
     build_role_profile,
     classify_roles,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "PublicationFlag",
     "PublicationRecord",
     "Role",
-    "RoleProfile",
     "UndefinedCorrelationError",
     "YearlySummaryRow",
     "audit_export",

@@ -56,10 +56,6 @@ class FilterConfig:
     exclude_close_associates: bool = True
     one_per_author_per_source: bool = True
 
-    @classmethod
-    def all_off(cls) -> "FilterConfig":
-        return cls(False, False, False, False, False, False)
-
 
 @dataclass
 class FilterAudit:

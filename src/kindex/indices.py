@@ -163,7 +163,7 @@ def _author_metrics(
 def compute_author_metrics(
     author: AuthorId,
     corpus: CorpusBundle,
-    cfg: FilterConfig | None = None,
+    cfg: FilterConfig = FilterConfig(),
 ) -> AuthorMetrics:
     """Full pipeline over a corpus: role profile, citation filtering and
     every indicator.
@@ -174,17 +174,16 @@ def compute_author_metrics(
     when every one of the author's publications has an alphabetical
     byline.
     """
-    cfg = cfg if cfg is not None else FilterConfig()
     try:
         own = corpus.authored(author)
     except NoPublicationsError as exc:
         raise EmptyPortfolioError(str(exc)) from None
-    profile = build_role_profile(author, own)
+    shares, role_fwci = build_role_profile(author, own)
     cit, audits = filter_citations(author, corpus, cfg)
     alphabetical = all(p.alphabetical_order for p in own)
     return _author_metrics(
         author, author, len(own), cit, h_index(a.accepted for a in audits),
-        role_dominance(profile.shares, alphabetical), profile.role_fwci,
+        role_dominance(shares, alphabetical), role_fwci,
     )
 
 

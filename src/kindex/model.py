@@ -1,9 +1,10 @@
 """Domain model: publications, citations and coauthorship roles.
 
-The records, role profiles and corpus bundles are immutable values.
-classify_roles (one publication's roles, as a mapping from each byline
-author to a frozenset) and build_role_profile are pure functions, so they
-are safe to evaluate in parallel across authors or publications.
+The records and corpus bundles are immutable values. classify_roles (one
+publication's roles, as a mapping from each byline author to a frozenset)
+and build_role_profile (an author's role shares and per-role mean FWCI,
+as two dicts) are pure functions, so they are safe to evaluate in
+parallel across authors or publications.
 
 PublicationRecord and CitationRecord are validated immutable tuples
 (named-tuple subclasses), which are much cheaper to build than frozen
@@ -177,23 +178,6 @@ class CitationRecord(_CitationFields):
 
 
 @dataclass(frozen=True)
-class RoleProfile:
-    """Per-author role shares and per-role mean FWCI.
-
-    ``shares[r]`` is the fraction of the author's publications in which
-    role ``r`` is held. The positional shares (FA, LA, CoA, SA) sum to 1;
-    CorA overlays them, so the total over all five roles may exceed 1.
-    ``role_fwci`` holds the mean FWCI over the publications held in that
-    role, counting only publications that carry an FWCI value; roles with
-    no such publication have no entry.
-    """
-
-    author: AuthorId
-    shares: Mapping[Role, float]
-    role_fwci: Mapping[Role, float]
-
-
-@dataclass(frozen=True)
 class CorpusBundle:
     """A parsed corpus: publications plus the citation links between them.
 
@@ -265,8 +249,16 @@ def classify_roles(pub: PublicationRecord) -> dict[AuthorId, frozenset[Role]]:
 
 def build_role_profile(
     author: AuthorId, corpus: Iterable[PublicationRecord]
-) -> RoleProfile:
-    """Compute the author's role shares and per-role mean FWCI over a corpus."""
+) -> tuple[dict[Role, float], dict[Role, float]]:
+    """``(shares, role_fwci)`` of the author over a corpus.
+
+    ``shares[r]`` is the fraction of the author's publications in which
+    role ``r`` is held. The positional shares (FA, LA, CoA, SA) sum to 1;
+    CorA overlays them, so the total over all five roles may exceed 1.
+    ``role_fwci`` holds the mean FWCI over the publications held in that
+    role, counting only publications that carry an FWCI value; roles with
+    no such publication have no entry.
+    """
     own = [p for p in corpus if author in p.authors]
     if not own:
         raise NoPublicationsError(f"author {author!r} has no publications in corpus")
@@ -285,4 +277,4 @@ def build_role_profile(
             # bit-identical); else divide first, so huge values keep a finite mean.
             total, n = sum(values), len(values)
             role_fwci[role] = total / n if math.isfinite(total) else sum(v / n for v in values)
-    return RoleProfile(author=author, shares=shares, role_fwci=role_fwci)
+    return shares, role_fwci

@@ -13,7 +13,6 @@ from kindex import (
     PublicationFlag,
     PublicationRecord,
     Role,
-    RoleProfile,
     audit_export,
     build_role_profile,
     classify_roles,
@@ -130,7 +129,7 @@ class TestFilterExamples:
 
 class TestFilterCorpusGroundTruth:
     def test_all_rules_off_equals_raw_mentions(self, filter_corpus):
-        count, _ = filter_citations("t", filter_corpus, FilterConfig.all_off())
+        count, _ = filter_citations("t", filter_corpus, config_with())
         assert count == RAW_UNITS
 
     def test_all_rules_on(self, filter_corpus):
@@ -341,10 +340,9 @@ class TestIndexAgainstFullScan:
                 continue
             assert close_associates(author, corpus) == scan_close_associates(
                 author, corpus)
-            profile = build_role_profile(author, corpus.publications)
-            k_r = role_dominance(profile.shares,
-                                 all(p.alphabetical_order for p in own))
-            fwci = fwci_total(profile.role_fwci) if profile.role_fwci else None
+            shares, role_fwci = build_role_profile(author, corpus.publications)
+            k_r = role_dominance(shares, all(p.alphabetical_order for p in own))
+            fwci = fwci_total(role_fwci) if role_fwci else None
             for cfg in all_configs():
                 expected = scan_filter_citations(author, corpus, cfg)
                 assert filter_citations(author, corpus, cfg) == expected
@@ -407,8 +405,7 @@ class TestRoleRule:
                 values = [p.fwci for p in pubs if p.fwci is not None]
                 if values:
                     role_fwci[role] = sum(values) / len(values)
-            assert build_role_profile(author, corpus.publications) == RoleProfile(
-                author=author,
-                shares={role: len(pubs) / len(own) for role, pubs in held.items()},
-                role_fwci=role_fwci,
+            assert build_role_profile(author, corpus.publications) == (
+                {role: len(pubs) / len(own) for role, pubs in held.items()},
+                role_fwci,
             )

@@ -81,29 +81,29 @@ class TestBuildRoleProfile:
             pub("p3", ["y", "x", "z"]),   # x CoA
             pub("p4", ["z", "x"]),        # x LA
         ]
-        profile = build_role_profile("x", corpus)
-        assert profile.shares[Role.FA] == 0.25
+        shares, _ = build_role_profile("x", corpus)
+        assert shares[Role.FA] == 0.25
 
     def test_role_fwci_is_mean_over_role(self):
         corpus = [
             pub("p1", ["y", "x"], fwci=1.0),
             pub("p2", ["z", "x"], fwci=3.0),
         ]
-        profile = build_role_profile("x", corpus)
-        assert profile.role_fwci[Role.LA] == 2.0
+        _, role_fwci = build_role_profile("x", corpus)
+        assert role_fwci[Role.LA] == 2.0
 
     def test_missing_fwci_counts_for_share_not_for_mean(self):
         corpus = [
             pub("p1", ["x", "y"], fwci=2.0),
             pub("p2", ["x", "z"]),  # no fwci value
         ]
-        profile = build_role_profile("x", corpus)
-        assert profile.shares[Role.FA] == 1.0
-        assert profile.role_fwci[Role.FA] == 2.0
+        shares, role_fwci = build_role_profile("x", corpus)
+        assert shares[Role.FA] == 1.0
+        assert role_fwci[Role.FA] == 2.0
 
     def test_role_without_fwci_data_has_no_entry(self):
-        profile = build_role_profile("x", [pub("p1", ["x", "y"])])
-        assert Role.FA not in profile.role_fwci
+        _, role_fwci = build_role_profile("x", [pub("p1", ["x", "y"])])
+        assert Role.FA not in role_fwci
 
     def test_unknown_author_rejected(self):
         with pytest.raises(NoPublicationsError):
@@ -143,14 +143,14 @@ class TestBuildRoleProfile:
                 if p.fwci is not None:
                     fwci_values[Role.CORA].append(p.fwci)
 
-        profile = build_role_profile("x", corpus)
+        shares, role_fwci = build_role_profile("x", corpus)
         for role in Role:
-            assert profile.shares[role] == pytest.approx(counts[role] / 10)
+            assert shares[role] == pytest.approx(counts[role] / 10)
             if fwci_values[role]:
                 expected = sum(fwci_values[role]) / len(fwci_values[role])
-                assert profile.role_fwci[role] == pytest.approx(expected)
+                assert role_fwci[role] == pytest.approx(expected)
             else:
-                assert role not in profile.role_fwci
+                assert role not in role_fwci
 
     def test_positional_shares_sum_to_one(self):
         rng = random.Random(11)
@@ -162,10 +162,10 @@ class TestBuildRoleProfile:
                 authors = others + ["x"]
                 rng.shuffle(authors)
                 corpus.append(pub(f"p{i}", authors))
-            profile = build_role_profile("x", corpus)
+            shares, _ = build_role_profile("x", corpus)
             positional = (
-                profile.shares[Role.FA] + profile.shares[Role.LA]
-                + profile.shares[Role.COA] + profile.shares[Role.SA]
+                shares[Role.FA] + shares[Role.LA]
+                + shares[Role.COA] + shares[Role.SA]
             )
             assert positional == pytest.approx(1.0, abs=1e-12)
 
