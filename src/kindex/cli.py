@@ -11,10 +11,11 @@ import argparse
 import csv
 import io
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from decimal import Context, Decimal, ROUND_HALF_UP
 from itertools import repeat
 from operator import attrgetter
+from typing import Any
 
 from .analytics import (
     RANK_KEYS,
@@ -59,14 +60,19 @@ class _Fail(Exception):
         super().__init__("; ".join(messages))
 
 
-def _read(path: str) -> str:
-    """The text of an input or config file; a leading UTF-8 byte-order mark is dropped."""
+def _read(path: str, parse: Callable[[io.TextIOWrapper], Any] = io.TextIOWrapper.read) -> Any:
+    """``parse`` applied to an input or config file opened as text, by
+    default its whole text; a leading UTF-8 byte-order mark is dropped."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+            return parse(handle)
     except OSError as exc:
         raise _Fail(2, [f"cannot read {path}: {exc.strerror or exc}"]) from None
     except UnicodeDecodeError as exc:
+        if parse is not io.TextIOWrapper.read:
+            # Read by lines, a decode error gives its offset within an 8 KB
+            # chunk; reading the whole text reports it at its file offset.
+            _read(path)
         raise _Fail(2, [f"cannot read {path}: {exc}"]) from None
 
 
@@ -151,7 +157,7 @@ def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
             rows = [row for row in rows if row.author == author]
         metrics = [metrics_from_summary(row) for row in rows]
     else:
-        bundle = parse_publications(_read(args.corpus))
+        bundle = _read(args.corpus, parse_publications)
         if author is not None:
             authors = [author] if author in bundle.publications_by_author else []
         else:
@@ -172,7 +178,7 @@ def _metric_columns(
 
 
 def cmd_validate(args) -> str:
-    bundle = parse_publications(_read(args.corpus))
+    bundle = _read(args.corpus, parse_publications)
     return (
         f"ok: {len(bundle.publications)} publications, "
         f"{len(bundle.citations)} citations\n"
@@ -237,7 +243,7 @@ def cmd_correlate(args) -> str:
 
 def cmd_yearly(args) -> str:
     _, precision = _load_settings(args)
-    summary = yearly_summary(parse_publications(_read(args.corpus)))
+    summary = yearly_summary(_read(args.corpus, parse_publications))
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
     columns = [_fmt_column(map(attrgetter(column), summary), precision) for column in header]
     if args.format == "plotdata":

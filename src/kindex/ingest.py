@@ -17,6 +17,7 @@ import gc
 import math
 import re
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -210,13 +211,26 @@ def _check_flags(key: str, text: str) -> str | None:
 
 
 def _check_pairs(key: str, text: str) -> str | None:
-    pairs: dict[str, str] = {}
+    pairs = []
     for pair in _split_list(key, text):
         author, sep, name = pair.partition(":")
-        if not sep:
+        if not (sep and name.strip()):
             raise ValueError(f"institution entry {pair!r} is not author:name")
-        pairs[author.strip()] = name.strip()
-    return ",".join(f"{author}:{name}" for author, name in pairs.items()) or None
+        pairs.append(f"{author.strip()}:{name.strip()}")
+    return ",".join(pairs) or None
+
+
+def _institution_map(text: str | None) -> dict[AuthorId, str]:
+    """The author -> name map of checked ``institutions`` text (None for
+    none); an author named twice is refused."""
+    if not text:
+        return {}
+    pairs = [pair.split(":", 1) for pair in text.split(",")]
+    by_author = dict(pairs)
+    if len(by_author) < len(pairs):
+        twice = next(author for author, n in Counter(a for a, _ in pairs).items() if n > 1)
+        raise ValueError(f"institutions names {twice!r} twice")
+    return by_author
 
 
 def _write_int(record: str, key: str, value: int) -> str:
@@ -383,8 +397,7 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
                 frozenset(corresponding.split(",")) if corresponding else _EMPTY,
                 float(fwci) if fwci else None, alphabetical == "true",
                 frozenset(map(PublicationFlag, flags.split(","))) if flags else _EMPTY,
-                dict(pair.split(":", 1) for pair in institutions.split(","))
-                if institutions else {},
+                _institution_map(institutions),
             )
             if pub_id in pub_lines:
                 raise ValueError(
@@ -407,11 +420,13 @@ def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
 
 def _writable(record: str, key: str, text: str, stops: str = "") -> str:
     """``text`` as written for ``key``, or ValueError naming ``record`` when
-    the parser would read it back changed: it holds a TAB, CR, LF or one of
-    ``stops``, or starts or ends with whitespace that str.strip removes."""
+    the parser would read it back changed: it is empty, holds a TAB, CR, LF
+    or one of ``stops``, or starts or ends with whitespace that str.strip
+    removes."""
     bad = next((char for char in "\t\r\n" + stops if char in text), None)
-    if bad is not None or text != text.strip():
-        why = f"holds {bad!r}" if bad else "starts or ends with whitespace"
+    if bad is not None or text != text.strip() or not text:
+        why = (f"holds {bad!r}" if bad else "is empty" if not text
+               else "starts or ends with whitespace")
         raise ValueError(f"cannot write {record}: {key} {text!r} {why}")
     return text
 

@@ -109,6 +109,10 @@ class TestLinearTrend:
         with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
             linear_trend([1, 2], [1, 2, 3])
 
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError, match="^trend fit needs at least two points$"):
+            linear_trend([1.0], [2.0])
+
 
 # Values with a fixed number of decimals, so none is subnormal.
 _MODERATE = st.integers(-10**9, 10**9).map(lambda n: n / 1000)

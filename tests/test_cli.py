@@ -192,6 +192,13 @@ class TestMetrics:
         assert out == ""
         assert target.read_text().startswith("author,")
 
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "metrics", "--summary", KRATING_SUMMARY,
+                             "--out", str(target))
+        assert (code, out, err) == (2, "", f"cannot write {target}: No such file or directory\n")
+        assert not target.parent.exists()
+
 
 class TestRank:
     def test_k_display_rank_on_reference_rating(self, capsys):
@@ -313,12 +320,19 @@ class TestInputRejections:
         ("a\tA\t1\t2\tnan", "line 2: FWCI1 must be finite, got 'nan'"),
         ("a\tA\t1\t1_000\t0.5", "line 2: '1_000' is not a plain integer"),
         ("b\tB\t1\t2\t0.5\nb\tC\t1\t2\t0.5", "line 3: duplicate Id 'b' (first seen on line 2)"),
+        ("a\tA\t1\t2\t0.5\t7", "line 2: 6 cells for 5 columns"),
     ])
     def test_summary(self, tmp_path, capsys, row, message):
         path = tmp_path / "table.tsv"
         path.write_text("Id\tAuthor\tDOC\tCIT\tFWCI1\n" + row + "\n")
         code, out, err = run(capsys, "metrics", "--summary", str(path))
         assert (code, out, err) == (1, "", message + "\n")
+
+    def test_summary_header_naming_a_column_twice(self, tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text("Author\tDOC\tdoc\nA\t1\t1\n")
+        code, out, err = run(capsys, "metrics", "--summary", str(path))
+        assert (code, out, err) == (1, "", "line 1: duplicate column in header\n")
 
 
 class TestOverflow:

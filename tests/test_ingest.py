@@ -86,6 +86,27 @@ class TestParsePublications:
             "Al-Farabi Kazakh National University"
         )
 
+    @pytest.mark.parametrize("pairs,message", [
+        ("a:", "institution entry 'a:' is not author:name"),
+        ("a: ", "institution entry 'a:' is not author:name"),
+        ("b:Y, a : ", "institution entry 'a :' is not author:name"),
+        ("a:X,a:Y", "institutions names 'a' twice"),
+        ("a:X,b:Y,b:X", "institutions names 'b' twice"),
+        ("a:X , a: X", "institutions names 'a' twice"),
+    ])
+    @pytest.mark.parametrize("layout", ["serialized", "reordered"])
+    def test_institutions_allow_one_named_institution_per_author(self, pairs, message, layout):
+        fields = ["pub_id=p1", "year=2019", "authors=a,b", f"institutions={pairs}"]
+        if layout == "reordered":  # keys out of table order take the careful path
+            fields.reverse()
+        line = "\t".join(["type=pub", *fields])
+        fast = ingest._SERIALIZED_PUB.match(line)
+        assert bool(fast and fast.end() == len(line)) == (
+            layout == "serialized" and pairs in ("a:X,a:Y", "a:X,b:Y,b:X"))
+        with pytest.raises(ParseError) as err:
+            parse_publications(line + "\n")
+        assert str(err.value) == f"line 1: {message}"
+
     def test_round_trip(self, filter_corpus):
         assert parse_publications(dump_publications(filter_corpus)) == filter_corpus
 
@@ -1030,6 +1051,8 @@ class TestDumpRoundTrip:
          "cannot write pub 'p\\tq': pub_id 'p\\tq' holds '\\t'"),
         (CorpusBundle((PublicationRecord("p", 1, ("a",), institution_by_author={"a": "I,J"}),)),
          "cannot write pub 'p': institutions 'I,J' holds ','"),
+        (CorpusBundle((PublicationRecord("p", 1, ("a",), institution_by_author={"a": ""}),)),
+         "cannot write pub 'p': institutions '' is empty"),
     ])
     def test_text_read_back_changed_is_refused(self, bundle, message):
         with pytest.raises(ValueError) as err:
