@@ -65,7 +65,10 @@ def _read(path: str, parse: Callable[[io.TextIOWrapper], Any] = io.TextIOWrapper
     default its whole text; a leading UTF-8 byte-order mark is dropped."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            return parse(handle)
+            try:
+                return parse(handle)
+            finally:  # a byte past where parse stopped still exits 2, not 1
+                handle.read()
     except OSError as exc:
         raise _Fail(2, [f"cannot read {path}: {exc.strerror or exc}"]) from None
     except UnicodeDecodeError as exc:
@@ -142,7 +145,7 @@ def _render(kind: str, header: list[str], columns: list[list[str]]) -> str:
 
 
 def _load_settings(args) -> tuple[Config, int]:
-    config = load_config(_read(args.config)) if args.config else Config()
+    config = _read(args.config, load_config) if args.config else Config()
     precision = args.precision if args.precision is not None else config.precision
     if not 0 <= precision <= MAX_PRECISION:
         raise _Fail(2, [f"--precision must be in 0..{MAX_PRECISION}, got {precision}"])
@@ -152,7 +155,7 @@ def _load_settings(args) -> tuple[Config, int]:
 def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     author = getattr(args, "author", None)
     if args.summary:
-        rows = parse_author_summaries(_read(args.summary))
+        rows = _read(args.summary, parse_author_summaries)
         if author is not None:
             rows = [row for row in rows if row.author == author]
         metrics = [metrics_from_summary(row) for row in rows]
@@ -209,7 +212,7 @@ def cmd_rank(args) -> str:
 
 def cmd_correlate(args) -> str:
     _, precision = _load_settings(args)
-    rows = parse_author_summaries(_read(args.summary))
+    rows = _read(args.summary, parse_author_summaries)
     extractors = []
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()

@@ -14,6 +14,7 @@ is either accepted whole or rejected with the full list of problems.
 """
 
 import gc
+import io
 import math
 import re
 import sys
@@ -116,18 +117,6 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text`` split at LF, CR LF and lone CR only, as a file
-    opened in text mode splits them: ``str.splitlines`` would also end a
-    line at characters such as form feed, U+0085 and U+2028."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
 
 
 def _parse_bool(value: str) -> bool:
@@ -345,11 +334,11 @@ def _careful_texts(kind: str, fields: dict[str, str]) -> tuple[str | None, ...]:
 def parse_publications(source: Iterable[str] | str) -> CorpusBundle:
     """Parse a corpus file into a bundle.
 
-    ``source`` is a string or an iterable of lines (an open file works).
-    Raises ParseError carrying every line-numbered problem found; nothing
-    is silently dropped.
+    ``source`` is an iterable of lines (an open file works) or a string,
+    split into lines as a file opened in text mode is. Raises ParseError
+    carrying every line-numbered problem found; nothing is silently dropped.
     """
-    lines = _split_lines(source) if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     issues: list[ParseIssue] = []
     publications: list[PublicationRecord] = []
     citations: list[CitationRecord] = []
@@ -499,19 +488,20 @@ def _parse_count(cell: str, column: str) -> int:
 
 
 @_gc_paused()
-def parse_author_summaries(text: str) -> list[AuthorSummaryRow]:
+def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow]:
     """Parse a delimited author summary table.
 
-    The first non-blank line names the columns (tab- or semicolon-
-    delimited): Author is required; Id, H, DOC, CIT and the per-role
-    share/FWCI pairs FA/FWCI1, LA/FWCI2, CoA/FWCI3, CorA/FWCI4, SA/FWCI5
-    are optional. Share cells are percentages, with or without the ``%``
-    sign; a "-" or empty cell is an absent value. With an Id column, the
-    author ids must be unique.
+    The first non-blank line of ``source`` (read as parse_publications reads
+    it) names the columns (tab- or semicolon-delimited): Author is required;
+    Id, H, DOC, CIT and the per-role share/FWCI pairs FA/FWCI1, LA/FWCI2,
+    CoA/FWCI3, CorA/FWCI4, SA/FWCI5 are optional. Share cells are percentages,
+    with or without the ``%`` sign; a "-" or empty cell is an absent value.
+    With an Id column, the author ids must be unique.
     """
+    source = io.StringIO(source, newline=None) if isinstance(source, str) else source
     lines = (
         (no, line)
-        for no, line in enumerate(_split_lines(text), 1)
+        for no, line in enumerate(source, 1)
         if (stripped := line.lstrip()) and stripped[0] != "#"
     )
     header_no, header = next(lines, (0, ""))
@@ -630,14 +620,15 @@ _RULE_KEYS = {
 }
 
 
-def load_config(text: str) -> Config:
-    """Load ``key=value`` configuration. Unknown or repeated keys are
-    rejected; omitted keys keep their defaults (every filter rule on,
-    precision 2)."""
+def load_config(source: Iterable[str] | str) -> Config:
+    """Load ``key=value`` configuration, read from ``source`` as
+    parse_publications reads it. Unknown or repeated keys are rejected;
+    omitted keys keep their defaults (every filter rule on, precision 2)."""
     rule_values: dict[str, bool] = {}
     precision = Config.precision
     seen: set[str] = set()
-    for line_no, raw in enumerate(_split_lines(text), 1):
+    source = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    for line_no, raw in enumerate(source, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
