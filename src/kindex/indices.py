@@ -64,10 +64,15 @@ class AuthorMetrics:
 
 
 def round_half_away(value: float) -> int:
-    """Round to the nearest integer with ties going away from zero."""
-    if value >= 0:
-        return int(math.floor(value + 0.5))
-    return int(math.ceil(value - 0.5))
+    """Round to the nearest integer with ties going away from zero.
+
+    The fraction is compared, not ``value + 0.5`` floored: that sum is
+    itself rounded, up to the next integer for 0.49999999999999994 and for
+    odd integers between 2**52 and 2**53. ``magnitude - whole`` is exact."""
+    magnitude = abs(value)
+    whole = math.floor(magnitude)
+    rounded = whole + (magnitude - whole >= 0.5)
+    return rounded if value >= 0 else -rounded
 
 
 def h_index(citation_counts: Iterable[int]) -> int:

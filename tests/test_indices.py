@@ -1,7 +1,10 @@
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kindex import (
     AuthorSummaryRow,
@@ -171,6 +174,21 @@ class TestRounding:
 
     def test_integers_unchanged(self):
         assert round_half_away(27.0) == 27
+
+    # Any float, integers from 2**52 (where a float's spacing reaches 1, then
+    # 2), and ties n + 0.5 with the floats on either side of them.
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(lambda n, sign: sign * float(n), st.integers(2**52, 2**54),
+                  st.sampled_from([1, -1])),
+        st.builds(lambda n, toward: n + 0.5 if toward is None else math.nextafter(n + 0.5, toward),
+                  st.integers(-2**20, 2**20), st.sampled_from([None, -math.inf, math.inf])),
+    ))
+    @example(0.49999999999999994)
+    @example(4503599627370497.0)
+    def test_matches_exact_rounding(self, value):
+        expected = math.floor(abs(Fraction(value)) + Fraction(1, 2))
+        assert round_half_away(value) == (expected if value >= 0 else -expected)
 
 
 class TestIntegratedK:
