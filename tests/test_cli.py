@@ -2,8 +2,10 @@ import gc
 import io
 import math
 import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, ROUND_HALF_UP, localcontext
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import kindex.cli
 from kindex.analytics import RANK_KEYS
 from kindex.cli import FORMATS, _fmt_column, fmt_value, main
-from kindex.ingest import ConfigError, ParseError, load_config, parse_publications
+from kindex.ingest import (
+    ConfigError, ParseError, load_config, parse_author_summaries, parse_publications,
+)
 
 from refdata import KRATING
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 FILTER_CORPUS = str(DATA / "corpus_filter.txt")
 YEARLY_CORPUS = str(DATA / "corpus_yearly.txt")
 BAD_CORPUS = str(DATA / "corpus_bad.txt")
@@ -65,15 +70,23 @@ class TestValidate:
         assert err.startswith(f"cannot read {path}: ")
         assert err.count("\n") == 1
 
+    # A summary whose header names an unknown column and a config whose
+    # first key is unknown: the bad byte still wins over that exit-1 problem.
+    @pytest.mark.parametrize("argv,head,line", [
+        (["validate", "{}"], b"", b"type=pub\tpub_id=p%d\tyear=2020\tauthors=a\n"),
+        (["metrics", "--summary", "{}"], b"Author\tBogus\n", b"a%d\t1\n"),
+        (["metrics", "--summary", KRATING_SUMMARY, "--config", "{}"], b"bogus=1\n",
+         b"precision=%d\n"),
+    ], ids=["corpus", "summary", "config"])
     @pytest.mark.parametrize("offset", [20000, 24490])
-    def test_decode_error_names_the_file_offset(self, tmp_path, capsys, offset):
+    def test_decode_error_names_the_file_offset(self, tmp_path, capsys, argv, head, line,
+                                                offset):
         # Past the first 8 KB, a file read in chunks would report the
         # position within its chunk instead.
-        lines = b"".join(b"type=pub\tpub_id=p%d\tyear=2020\tauthors=a\n" % i
-                         for i in range(offset // 40 + 1))
-        path = tmp_path / "corpus.txt"
+        lines = head + b"".join(line % i for i in range(offset // 4))
+        path = tmp_path / "input.txt"
         path.write_bytes(lines[:offset] + b"\xff\n")
-        code, out, err = run(capsys, "validate", str(path))
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
         assert (code, out) == (2, "")
         assert err == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
                        f"position {offset}: invalid start byte\n")
@@ -328,11 +341,15 @@ class TestInputRejections:
         code, out, err = run(capsys, "metrics", "--summary", str(path))
         assert (code, out, err) == (1, "", message + "\n")
 
-    def test_summary_header_naming_a_column_twice(self, tmp_path, capsys):
+    @pytest.mark.parametrize("header,message", [
+        ("Author\tDOC\tdoc", "duplicate column in header"),
+        ("Id\tDOC\tCIT", "missing Author column"),
+    ], ids=["duplicate", "no-author"])
+    def test_summary_header(self, tmp_path, capsys, header, message):
         path = tmp_path / "table.tsv"
-        path.write_text("Author\tDOC\tdoc\nA\t1\t1\n")
+        path.write_text(header + "\nA\t1\t1\n")
         code, out, err = run(capsys, "metrics", "--summary", str(path))
-        assert (code, out, err) == (1, "", "line 1: duplicate column in header\n")
+        assert (code, out, err) == (1, "", f"line 1: {message}\n")
 
 
 class TestOverflow:
@@ -949,6 +966,33 @@ class TestOnlyLfCrLfAndCrEndLines:
         unterminated = parse_publications(text + "type=cite\tciting_pub=r\tcited_pub=p1")
         assert [c.citing_pub for c in unterminated.citations] == ["q", "r"]
 
+    @pytest.mark.parametrize("parse,texts", [
+        (parse_publications, _corpus_texts()),
+        (parse_author_summaries, _summary_inputs().map(itemgetter(0))),
+        (load_config, _CONFIG.map(lambda text: text or "")),
+    ], ids=["corpus", "summary", "config"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_text_parses_like_an_open_file(self, tmp_path, parse, texts, data):
+        text = data.draw(texts).replace("\r", "\n") + data.draw(st.sampled_from(["", "\n"]))
+        expected = _outcome(parse, text)
+        path = tmp_path / "input.txt"
+        for ending in ("\n", "\r\n", "\r"):
+            path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            with open(path, encoding="utf-8") as handle:
+                assert _outcome(parse, handle) == expected
+            assert _outcome(parse, text.replace("\n", ending)) == expected
+
+
+def _outcome(parse, source):
+    """What ``parse`` returns for ``source``, or the type and text of the
+    input error it raises."""
+    try:
+        return parse(source)
+    except (ParseError, ConfigError) as exc:
+        return type(exc), str(exc)
+
 
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of a corpus, summary or config
@@ -967,3 +1011,25 @@ class TestByteOrderMark:
         expected = run(capsys, *(arg.format(plain) for arg in argv))
         assert expected[0] == 0 and expected[2] == ""
         assert run(capsys, *(arg.format(marked) for arg in argv)) == expected
+
+
+def _readme_examples():
+    """The ``kindex`` command lines of the README's examples block, as argv
+    lists; CI runs the same lines through the installed script."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExamples, using", 1)[1].split("```\n")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kindex ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_example_exits_0(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)  # the examples name files relative to the checkout
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+    def test_kindex_script_runs_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"kindex": "kindex.cli:main"}
