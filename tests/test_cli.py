@@ -20,8 +20,8 @@ from kindex.ingest import (
 
 from refdata import KRATING
 
-ROOT = Path(__file__).parent.parent
-DATA = ROOT / "tests" / "data"
+ROOT = Path(__file__).parents[1]
+DATA = Path(__file__).parent / "data"
 FILTER_CORPUS = str(DATA / "corpus_filter.txt")
 YEARLY_CORPUS = str(DATA / "corpus_yearly.txt")
 BAD_CORPUS = str(DATA / "corpus_bad.txt")
