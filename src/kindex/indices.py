@@ -20,7 +20,7 @@ commercialization components: K_i = K + K_p + K_c.
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .filtering import FilterConfig, filter_citations
 from .ingest import AuthorSummaryRow
@@ -40,9 +40,8 @@ class NonFiniteIndexError(ValueError):
     """An indicator is too large to be represented as a float."""
 
 
-@dataclass(frozen=True)
-class AuthorMetrics:
-    """The full indicator bundle for one author."""
+class AuthorMetrics(NamedTuple):
+    """The full indicator bundle for one author, an immutable named tuple."""
 
     author: AuthorId
     display_name: str
@@ -59,7 +58,7 @@ class AuthorMetrics:
 
     @property
     def k_integrated(self) -> float:
-        """K_i = K + K_p + K_c; set the parts with ``dataclasses.replace``."""
+        """K_i = K + K_p + K_c; set the parts with ``_replace``."""
         return self.k_exact + self.k_p + self.k_c
 
 
@@ -201,13 +200,9 @@ def metrics_from_summary(row: AuthorSummaryRow) -> AuthorMetrics:
     K-index falls back to its defaults (1 and 0 respectively).
     """
     if row.doc is None or row.doc < 1:
-        raise EmptyPortfolioError(
-            f"summary row for {row.author!r} has no publication count"
-        )
+        raise EmptyPortfolioError(f"summary row for {row.author!r} has no publication count")
     if row.cit is None:
-        raise EmptyPortfolioError(
-            f"summary row for {row.author!r} has no citation count"
-        )
+        raise EmptyPortfolioError(f"summary row for {row.author!r} has no citation count")
     return _author_metrics(
         row.author, row.display_name, row.doc, row.cit, row.h_index,
         role_dominance(row.shares) if row.shares else None, row.role_fwci,

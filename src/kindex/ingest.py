@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, NamedTuple
 
@@ -34,6 +34,7 @@ from .model import (
     PublicationRecord,
     Role,
     ROLE_ORDER,
+    _tuple_new,
 )
 
 
@@ -58,22 +59,33 @@ class ConfigError(ValueError):
     """Bad configuration file."""
 
 
-@dataclass(frozen=True)
-class AuthorSummaryRow:
+class _SummaryFields(NamedTuple):
+    author: AuthorId
+    display_name: str
+    h_index: int | None
+    doc: int | None
+    cit: int | None
+    shares: dict[Role, float]
+    role_fwci: dict[Role, float]
+
+
+class AuthorSummaryRow(_SummaryFields):
     """One row of a pre-aggregated author summary table.
 
     ``shares`` holds role shares as fractions of 1 and ``role_fwci`` the
     per-role mean FWCI values; either mapping only contains the cells
-    actually present in the file.
+    actually present in the file; left out or None, it is a new empty dict.
     """
 
-    author: AuthorId
-    display_name: str
-    h_index: int | None = None
-    doc: int | None = None
-    cit: int | None = None
-    shares: dict[Role, float] = field(default_factory=dict)
-    role_fwci: dict[Role, float] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, author: AuthorId, display_name: str, h_index: int | None = None,
+                doc: int | None = None, cit: int | None = None,
+                shares: dict[Role, float] | None = None,
+                role_fwci: dict[Role, float] | None = None) -> "AuthorSummaryRow":
+        return _tuple_new(cls, (author, display_name, h_index, doc, cit,
+                                {} if shares is None else shares,
+                                {} if role_fwci is None else role_fwci))
 
 
 # Largest number of decimal places for output, from a config file or --precision.
@@ -451,21 +463,12 @@ def dump_publications(bundle: CorpusBundle) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-
 # --- summary tables ---------------------------------------------------------
 
-_SHARE_COLUMNS = {
-    "fa": Role.FA, "la": Role.LA, "coa": Role.COA, "cora": Role.CORA,
-    "sa": Role.SA,
-}
-_FWCI_COLUMNS = {
-    f"fwci{i}": role for i, role in enumerate(ROLE_ORDER, start=1)
-}
+_SHARE_COLUMNS = {role.value.lower(): role for role in ROLE_ORDER}  # fa, la, coa, cora, sa
+_FWCI_COLUMNS = {f"fwci{i}": role for i, role in enumerate(ROLE_ORDER, start=1)}
 _COUNT_COLUMNS = {"h": "h_index", "doc": "doc", "cit": "cit"}  # column -> row field
-_KNOWN_COLUMNS = (
-    {"id", "author"} | set(_COUNT_COLUMNS) | set(_SHARE_COLUMNS)
-    | set(_FWCI_COLUMNS)
-)
+_KNOWN_COLUMNS = {"id", "author", *_COUNT_COLUMNS, *_SHARE_COLUMNS, *_FWCI_COLUMNS}
 # Text of an absent cell, after stripping.
 _ABSENT = ("", "-")
 
@@ -605,7 +608,6 @@ def _build_summary_row(cells: list[str], author_at: int, id_at: int | None, coun
             role_fwci[role] = value
 
     return AuthorSummaryRow(author, name, h, doc, cit, role_shares, role_fwci)
-
 
 
 # --- config files -----------------------------------------------------------

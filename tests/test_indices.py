@@ -1,12 +1,15 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kindex import (
+    AuthorMetrics,
     AuthorSummaryRow,
     CitationRecord,
     CorpusBundle,
@@ -193,12 +196,12 @@ class TestRounding:
 
 class TestIntegratedK:
     """``k_integrated`` of a metrics bundle whose K is ``k`` and whose
-    patent and commercialization parts are set with ``dataclasses.replace``."""
+    patent and commercialization parts are set with ``_replace``."""
 
     BASE = metrics_from_summary(AuthorSummaryRow("a", "A", doc=1, cit=0))
 
     def k_integrated(self, k, k_p, k_c):
-        return dataclasses.replace(self.BASE, k_exact=k, k_p=k_p, k_c=k_c).k_integrated
+        return self.BASE._replace(k_exact=k, k_p=k_p, k_c=k_c).k_integrated
 
     def test_zero_components(self):
         assert self.k_integrated(58, 0, 0) == 58
@@ -280,7 +283,7 @@ class TestComputeAuthorMetrics:
         )
         m = compute_author_metrics("x", corpus)
         assert m.k_integrated == m.k_exact
-        m = dataclasses.replace(m, k_p=1.5, k_c=0.25)
+        m = m._replace(k_p=1.5, k_c=0.25)
         assert m.doc == 4
         assert m.cit == 3
         assert m.h_index == 1
@@ -328,3 +331,74 @@ class TestMetricsFromSummary:
         row = AuthorSummaryRow(author="a", display_name="A", cit=5)
         with pytest.raises(EmptyPortfolioError):
             metrics_from_summary(row)
+
+
+# Field names in constructor order, as the former frozen dataclasses had them.
+SUMMARY_FIELDS = ("author", "display_name", "h_index", "doc", "cit", "shares", "role_fwci")
+METRIC_FIELDS = ("author", "display_name", "doc", "cit", "cit_per_doc", "h_index", "k_r",
+                 "fwci_total", "k_exact", "k_display", "k_p", "k_c")
+_ROLE_VALUES = st.dictionaries(st.sampled_from(Role), st.floats(0, 1e6), max_size=5)
+
+
+@st.composite
+def _summary_rows(draw):
+    doc = draw(st.integers(1, 10**6))
+    return AuthorSummaryRow(
+        draw(st.text(min_size=1, max_size=4)), draw(st.text(min_size=1, max_size=4)),
+        draw(st.none() | st.integers(0, doc)), doc, draw(st.integers(0, 10**9)),
+        draw(_ROLE_VALUES), draw(_ROLE_VALUES),
+    )
+
+
+_values = st.one_of(_summary_rows(), _summary_rows().map(metrics_from_summary))
+
+
+def _value_fields(value):
+    return SUMMARY_FIELDS if isinstance(value, AuthorSummaryRow) else METRIC_FIELDS
+
+
+class TestValueContract:
+    """Summary rows and metrics bundles are immutable named tuples that keep
+    the behaviour the frozen dataclasses had: value equality, pickling,
+    copying, repr, hashing and immutability."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_values)
+    def test_pickle_and_copy_give_an_equal_value(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_values)
+    def test_repr_is_the_dataclass_repr(self, value):
+        dataclass = dataclasses.make_dataclass(
+            type(value).__name__, _value_fields(value), frozen=True)
+        assert repr(value) == repr(dataclass(*value))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_values)
+    def test_fields_cannot_be_assigned(self, value):
+        for name in (*_value_fields(value), "k_integrated", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name, None))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_summary_rows().map(metrics_from_summary))
+    def test_equal_metrics_hash_equal(self, metrics):
+        twin = AuthorMetrics(*(copy.copy(value) for value in metrics))
+        assert twin == metrics and hash(twin) == hash(metrics)
+
+    def test_default_dicts_are_new_per_row(self):
+        first, second = AuthorSummaryRow("a", "A"), AuthorSummaryRow("a", "A")
+        assert first.shares == {} == first.role_fwci
+        assert type(first.shares) is dict and type(first.role_fwci) is dict
+        dicts = [first.shares, first.role_fwci, second.shares, second.role_fwci]
+        assert len({id(d) for d in dicts}) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(_summary_rows().map(metrics_from_summary), st.floats(-1e6, 1e6),
+           st.floats(-1e6, 1e6))
+    def test_replaced_parts_add_to_k_integrated(self, metrics, k_p, k_c):
+        with_parts = metrics._replace(k_p=k_p, k_c=k_c)
+        assert with_parts.k_integrated == metrics.k_exact + k_p + k_c
+        assert type(with_parts) is AuthorMetrics and with_parts[:10] == metrics[:10]
