@@ -181,6 +181,7 @@ def _metric_columns(
 
 
 def cmd_validate(args) -> str:
+    _load_settings(args)  # checked as every command checks them, though unused
     bundle = _read(args.corpus, parse_publications)
     return (
         f"ok: {len(bundle.publications)} publications, "

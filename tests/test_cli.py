@@ -53,6 +53,21 @@ class TestValidate:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--config", "/nonexistent/cfg"], 2,
+         "cannot read /nonexistent/cfg: No such file or directory"),
+        (["--precision", "99"], 2, "--precision must be in 0..12, got 99"),
+        (["--precision", "13"], 2, "--precision must be in 0..12, got 13"),
+        (["--config", str(DATA / "config_unknown_key.txt")], 1,
+         "line 1: unknown key 'bogus_key'"),
+        (["--config", str(DATA / "config_bad_precision.txt")], 1,
+         "line 1: precision must be an integer, got 'abc'"),
+    ], ids=["missing-config", "precision-99", "precision-13", "unknown-key", "bad-precision"])
+    def test_config_and_precision_are_checked(self, capsys, flags, code, message):
+        # validate prints no numbers, but rejects the flags as every command does.
+        for command in ("validate", "yearly"):
+            assert run(capsys, command, FILTER_CORPUS, *flags) == (code, "", message + "\n")
+
     @pytest.mark.parametrize("argv", [
         ["validate", "{}"],
         ["yearly", "{}"],
@@ -705,7 +720,9 @@ class TestPrecision:
         except ConfigError as exc:
             key_rejects = "must be an integer" in str(exc)
         assert flag_rejects == key_rejects
-        assert code == (2 if flag_rejects else 0)
+        # validate checks an accepted spelling's range as every command does.
+        in_range = not flag_rejects and 0 <= int(text) <= 12
+        assert code == (0 if in_range else 2)
 
 
 # Values around the limits of fmt_value's format() path, with their text.
@@ -1033,3 +1050,20 @@ class TestReadme:
         with open(ROOT / "pyproject.toml", "rb") as handle:
             scripts = tomllib.load(handle)["project"]["scripts"]
         assert scripts == {"kindex": "kindex.cli:main"}
+
+    def test_library_examples_run_on_a_marked_corpus(self, tmp_path, capsys, monkeypatch):
+        # The README's first two python blocks, run in order in one namespace.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [part.split("```\n", 1)[0] for part in readme.split("```python\n")[1:3]]
+        (tmp_path / "corpus.txt").write_bytes(
+            "type=pub\tpub_id=p1\tyear=2020\tauthors=author-id,b\tfwci=1.5\n"
+            "type=cite\tciting_pub=q\tcited_pub=p1\tciting_authors=c\n".encode("utf-8-sig"))
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        metrics = namespace["metrics"]
+        assert (metrics.author, metrics.doc, metrics.cit) == ("author-id", 1, 1)
+        assert namespace["with_parts"].k_integrated == metrics.k_exact + 1.5 + 0.25
+        assert capsys.readouterr().out == (
+            f"{metrics.k_display} 1 1.0\n{namespace['with_parts'].k_integrated}\n")
