@@ -2,9 +2,10 @@
 
 Commands: validate, metrics, rank, correlate, yearly. Exit codes: 0 on
 success, 1 on validation failure, 2 on usage errors (bad flags, missing
-files, unknown columns). ``main`` is the one place that turns the library's
-errors into exit code 1. Output is deterministic: identical inputs and
-flags produce byte-identical output.
+files, unknown columns). ``main`` reads ``--config`` and range-checks
+``--precision`` for every command before any input is read, and is the one
+place that turns the library's errors into exit code 1. Output is
+deterministic: identical inputs and flags produce byte-identical output.
 """
 
 import argparse
@@ -144,14 +145,6 @@ def _render(kind: str, header: list[str], columns: list[list[str]]) -> str:
     return _render_csv(header, columns) if kind == "csv" else _render_table(header, columns)
 
 
-def _load_settings(args) -> tuple[Config, int]:
-    config = _read(args.config, load_config) if args.config else Config()
-    precision = args.precision if args.precision is not None else config.precision
-    if not 0 <= precision <= MAX_PRECISION:
-        raise _Fail(2, [f"--precision must be in 0..{MAX_PRECISION}, got {precision}"])
-    return config, precision
-
-
 def _collect_metrics(args, filters: FilterConfig) -> list[AuthorMetrics]:
     author = getattr(args, "author", None)
     if args.summary:
@@ -180,8 +173,7 @@ def _metric_columns(
             *(_fmt_column(map(attrgetter(key), metrics), precision) for key in keys)]
 
 
-def cmd_validate(args) -> str:
-    _load_settings(args)  # checked as every command checks them, though unused
+def cmd_validate(args, filters: FilterConfig, precision: int) -> str:
     bundle = _read(args.corpus, parse_publications)
     return (
         f"ok: {len(bundle.publications)} publications, "
@@ -189,18 +181,16 @@ def cmd_validate(args) -> str:
     )
 
 
-def cmd_metrics(args) -> str:
-    config, precision = _load_settings(args)
+def cmd_metrics(args, filters: FilterConfig, precision: int) -> str:
     if args.format == "plotdata":
         raise _Fail(2, ["metrics does not support --format plotdata"])
-    metrics = _collect_metrics(args, config.filters)
+    metrics = _collect_metrics(args, filters)
     columns = _metric_columns(metrics, _METRIC_COLUMNS[2:], precision)
     return _render(args.format, list(_METRIC_COLUMNS), columns)
 
 
-def cmd_rank(args) -> str:
-    config, precision = _load_settings(args)
-    metrics = _collect_metrics(args, config.filters)
+def cmd_rank(args, filters: FilterConfig, precision: int) -> str:
+    metrics = _collect_metrics(args, filters)
     ranked = rank_authors(metrics, args.key)
     ranks = [str(rank) for rank in range(1, len(ranked) + 1)]
     if args.format == "plotdata":
@@ -211,8 +201,7 @@ def cmd_rank(args) -> str:
     return _render(args.format, ["rank", "author", "name", *keys], columns)
 
 
-def cmd_correlate(args) -> str:
-    _, precision = _load_settings(args)
+def cmd_correlate(args, filters: FilterConfig, precision: int) -> str:
     rows = _read(args.summary, parse_author_summaries)
     extractors = []
     for axis, name in (("x", args.x), ("y", args.y)):
@@ -245,8 +234,7 @@ def cmd_correlate(args) -> str:
     return _render(args.format, header, columns)
 
 
-def cmd_yearly(args) -> str:
-    _, precision = _load_settings(args)
+def cmd_yearly(args, filters: FilterConfig, precision: int) -> str:
     summary = yearly_summary(_read(args.corpus, parse_publications))
     header = ["year", "doc", "cited_doc", "cit", "self_cit", "cit_per_doc"]
     columns = [_fmt_column(map(attrgetter(column), summary), precision) for column in header]
@@ -340,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         with _gc_paused():
-            output = args.func(args)
+            config = _read(args.config, load_config) if args.config else Config()
+            precision = args.precision if args.precision is not None else config.precision
+            if not 0 <= precision <= MAX_PRECISION:
+                raise _Fail(2, [f"--precision must be in 0..{MAX_PRECISION}, got {precision}"])
+            output = args.func(args, config.filters, precision)
     except _Fail as exc:
         exit_code, messages = exc.exit_code, exc.messages
     except ParseError as exc:

@@ -567,9 +567,9 @@ def _build_summary_row(cells: list[str], author_at: int, id_at: int | None, coun
     so the first problem reported on a row does not depend on the order of
     the header."""
     name = cells[author_at]
-    if not name:
+    if name in _ABSENT:
         raise ValueError("empty Author cell")
-    author = (cells[id_at] if id_at is not None else "") or name
+    author = name if id_at is None or cells[id_at] in _ABSENT else cells[id_at]
 
     values = []
     for at, label in counts:

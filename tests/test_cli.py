@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import math
@@ -63,9 +64,16 @@ class TestValidate:
          "line 1: precision must be an integer, got 'abc'"),
     ], ids=["missing-config", "precision-99", "unknown-key", "bad-precision"])
     def test_config_and_precision_are_checked(self, capsys, flags, code, message):
-        # validate prints no numbers, but rejects the flags as every command does.
-        for command in ("validate", "yearly"):
-            assert run(capsys, command, FILTER_CORPUS, *flags) == (code, "", message + "\n")
+        # Every command rejects the flags, validate too though it prints no
+        # numbers; a new subcommand fails here until it has an argv below.
+        argvs = [["validate", FILTER_CORPUS], ["yearly", FILTER_CORPUS],
+                 ["metrics", "--summary", KRATING_SUMMARY], ["rank", "--summary", KRATING_SUMMARY],
+                 ["correlate", NATSCI_SUMMARY, "--x", "H", "--y", "FA"]]
+        [subparsers] = [action for action in kindex.cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(argv[0] for argv in argvs) == sorted(subparsers.choices)
+        for argv in argvs:
+            assert run(capsys, *argv, *flags) == (code, "", message + "\n")
 
     @pytest.mark.parametrize("argv", [
         ["validate", "{}"],

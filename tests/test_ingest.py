@@ -484,6 +484,21 @@ class TestDuplicateIds:
             "line 4: duplicate Id 'Same' (first seen on line 3)"
         ]
 
+    def test_dash_id_cells_fall_back_to_their_authors(self):
+        # "-" is an absent value, so two such ids are not a repeat.
+        text = "Id\tAuthor\tDOC\tCIT\n-\tFirst\t1\t2\n -\tSecond\t1\t2\n"
+        rows = parse_author_summaries(text)
+        assert [(row.author, row.display_name) for row in rows] == [
+            ("First", "First"), ("Second", "Second")]
+
+    @pytest.mark.parametrize("header,row", [
+        ("Author\tDOC", "-\t1"), ("Id\tAuthor\tDOC", "a1\t-\t1"), ("Id;Author;DOC", "-;-;1"),
+    ], ids=["no-id-column", "id-column", "dash-id-too"])
+    def test_absent_author_cell_is_rejected(self, header, row):
+        with pytest.raises(ParseError) as err:
+            parse_author_summaries(f"{header}\n{row}\n")
+        assert str(err.value) == "line 2: empty Author cell"
+
     def test_repeated_author_without_id_column_is_kept(self, natsci_text):
         # the published sample repeats one row verbatim and has no Id column
         names = [r.display_name for r in parse_author_summaries(natsci_text)]
