@@ -202,7 +202,6 @@ def cmd_rank(args, filters: FilterConfig, precision: int) -> str:
 
 
 def cmd_correlate(args, filters: FilterConfig, precision: int) -> str:
-    rows = _read(args.summary, parse_author_summaries)
     extractors = []
     for axis, name in (("x", args.x), ("y", args.y)):
         key = name.strip().lower()
@@ -210,6 +209,7 @@ def cmd_correlate(args, filters: FilterConfig, precision: int) -> str:
             raise _Fail(2, [f"unknown column {name!r} for --{axis}"])
         extractors.append(VALUE_COLUMNS[key])
     x_of, y_of = extractors
+    rows = _read(args.summary, parse_author_summaries)
     xs, ys = [], []
     for row in rows:
         x_val, y_val = x_of(row), y_of(row)

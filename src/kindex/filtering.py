@@ -23,38 +23,27 @@ does):
                   publication) pair
 """
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .model import AuthorId, CorpusBundle
-
-RULE_INDEXED = "indexed"
-RULE_FLAGGED = "flagged"
-RULE_DEDUPE = "dedupe"
-RULE_SELF = "self"
-RULE_ASSOCIATE = "associate"
-RULE_ONE_PER_AUTHOR = "one_per_author"
-
-RULE_ORDER = (
-    RULE_INDEXED,
-    RULE_FLAGGED,
-    RULE_DEDUPE,
-    RULE_SELF,
-    RULE_ASSOCIATE,
-    RULE_ONE_PER_AUTHOR,
-)
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """On/off switches for the six citation-validity rules. All default on."""
+    """On/off switches for the six citation-validity rules, all default on,
+    in the order the rules apply. Each field's metadata names its audit
+    ``rule`` and, where it differs from the field name, its config ``key``."""
 
-    require_indexed_source: bool = True
-    exclude_flagged: bool = True
-    dedupe_per_document: bool = True
-    exclude_self: bool = True
-    exclude_close_associates: bool = True
-    one_per_author_per_source: bool = True
+    require_indexed_source: bool = field(default=True, metadata={"rule": "indexed"})
+    exclude_flagged: bool = field(default=True, metadata={"rule": "flagged"})
+    dedupe_per_document: bool = field(default=True, metadata={"rule": "dedupe"})
+    exclude_self: bool = field(
+        default=True, metadata={"rule": "self", "key": "exclude_self_citations"})
+    exclude_close_associates: bool = field(default=True, metadata={"rule": "associate"})
+    one_per_author_per_source: bool = field(default=True, metadata={"rule": "one_per_author"})
+
+
+RULE_ORDER = tuple(f.metadata["rule"] for f in fields(FilterConfig))
 
 
 @dataclass
@@ -122,30 +111,30 @@ def filter_citations(
             units = link.mention_count
 
             if cfg.require_indexed_source and not link.citing_indexed:
-                audit._reject(RULE_INDEXED, units)
+                audit._reject("indexed", units)
                 continue
             citing_doc = by_id.get(link.citing_pub)
             if cfg.exclude_flagged and citing_doc is not None and citing_doc.flags:
-                audit._reject(RULE_FLAGGED, units)
+                audit._reject("flagged", units)
                 continue
             if cfg.dedupe_per_document and units > 1:
-                audit._reject(RULE_DEDUPE, units - 1)
+                audit._reject("dedupe", units - 1)
                 units = 1
             if cfg.exclude_self and not byline.isdisjoint(link.citing_authors):
-                audit._reject(RULE_SELF, units)
+                audit._reject("self", units)
                 continue
             if cfg.exclude_close_associates and not (
                 coauthors.isdisjoint(link.citing_authors)
                 and institutions.isdisjoint(link.citing_institutions)
             ):
-                audit._reject(RULE_ASSOCIATE, units)
+                audit._reject("associate", units)
                 continue
             if cfg.one_per_author_per_source:
                 if link.citing_pub in accepted_from:
-                    audit._reject(RULE_ONE_PER_AUTHOR, units)
+                    audit._reject("one_per_author", units)
                     continue
                 if units > 1:
-                    audit._reject(RULE_ONE_PER_AUTHOR, units - 1)
+                    audit._reject("one_per_author", units - 1)
                     units = 1
                 accepted_from.add(link.citing_pub)
             audit.accepted += units

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from operator import attrgetter
 from typing import Any, NamedTuple
 
@@ -295,8 +295,6 @@ _TABLES = {"pub": _PUB_TABLE, "cite": _CITE_TABLE}
 # The keys whose values a pub line checks first, in this order; the others
 # follow in table order. A line with several faults reports the first.
 _PUB_CHECKED_FIRST = ("institutions", "flags", "venue_tier", "fwci")
-_PUB_FIELDS = tuple(key for key, _, _ in _PUB_TABLE)
-_CITE_FIELDS = tuple(key for key, _, _ in _CITE_TABLE)
 
 
 def _serialized(kind: str) -> re.Pattern[str]:
@@ -309,8 +307,8 @@ def _serialized(kind: str) -> re.Pattern[str]:
     return re.compile(pattern + r"\s*")
 
 
-# A cite or pub line as dump_publications writes it: keys in _CITE_FIELDS or
-# _PUB_FIELDS order, no "=" in a value, no empty list item, no whitespace
+# A cite or pub line as dump_publications writes it: keys in _CITE_TABLE or
+# _PUB_TABLE order, no "=" in a value, no empty list item, no whitespace
 # (``\s``: what str.strip removes) around a value or list item but at the
 # line's end (a file line's newline), and integers of at most _MAX_DIGITS
 # ASCII digits after an optional "-" (the record rejects a negative count).
@@ -612,14 +610,7 @@ def _build_summary_row(cells: list[str], author_at: int, id_at: int | None, coun
 
 # --- config files -----------------------------------------------------------
 
-_RULE_KEYS = {
-    "require_indexed_source": "require_indexed_source",
-    "dedupe_per_document": "dedupe_per_document",
-    "exclude_self_citations": "exclude_self",
-    "exclude_close_associates": "exclude_close_associates",
-    "one_per_author_per_source": "one_per_author_per_source",
-    "exclude_flagged": "exclude_flagged",
-}
+_RULE_KEYS = {f.metadata.get("key", f.name): f.name for f in dataclass_fields(FilterConfig)}
 
 
 def load_config(source: Iterable[str] | str) -> Config:

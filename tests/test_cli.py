@@ -289,6 +289,12 @@ class TestCorrelate:
         assert code == 2
         assert "NOPE" in err
 
+    def test_unknown_column_is_refused_before_the_table_is_read(self, tmp_path, capsys):
+        table = tmp_path / "bad_doc.tsv"
+        table.write_text("Author\tDOC\tCIT\tFA\nA\t1\t2\t0.5\nB\tx\t2\t0.5\n")
+        code, out, err = run(capsys, "correlate", str(table), "--x", "Bogus", "--y", "FA")
+        assert (code, out, err) == (2, "", "unknown column 'Bogus' for --x\n")
+
     def test_constant_column_exits_1(self, tmp_path, capsys):
         table = tmp_path / "flat.tsv"
         table.write_text(

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from kindex import (
     fwci_total,
     h_index,
     k_index,
+    load_config,
     role_dominance,
 )
 
@@ -143,6 +146,14 @@ class TestFilterCorpusGroundTruth:
     def test_each_rule_alone(self, filter_corpus, rule, expected):
         count, _ = filter_citations("t", filter_corpus, config_with(**{rule: True}))
         assert count == expected
+
+    @pytest.mark.parametrize("switch", dataclasses.fields(FilterConfig), ids=attrgetter("name"))
+    def test_config_key_reaches_its_switch_and_rule(self, filter_corpus, switch):
+        key = switch.metadata.get("key", switch.name)
+        assert load_config(f"{key}=false").filters == dataclasses.replace(
+            FilterConfig(), **{switch.name: False})
+        _, audits = filter_citations("t", filter_corpus, config_with(**{switch.name: True}))
+        assert {rule for audit in audits for rule in audit.rejected} == {switch.metadata["rule"]}
 
     def test_all_on_attribution(self, filter_corpus):
         _, audits = filter_citations("t", filter_corpus, FilterConfig())

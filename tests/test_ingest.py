@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -15,6 +16,7 @@ from kindex import (
     Config,
     ConfigError,
     CorpusBundle,
+    FilterConfig,
     ParseError,
     PublicationFlag,
     PublicationRecord,
@@ -419,10 +421,10 @@ class TestDocumentedKeyTables:
     _PUB = "type=pub\tpub_id=p1\tyear=2020\tauthors=a\n"
 
     @pytest.mark.parametrize("record,fields,line", [
-        ("pub", ingest._PUB_FIELDS,
+        ("pub", [key for key, _, _ in ingest._PUB_TABLE],
          "type=pub\tpub_id=p2\tyear=2020\tauthors=a\tcorresponding=a\tvenue_tier=Q1\tfwci=1.5"
          "\tindexed=true\talphabetical=true\tflags=ERRONEOUS\tinstitutions=a:X"),
-        ("cite", ingest._CITE_FIELDS,
+        ("cite", [key for key, _, _ in ingest._CITE_TABLE],
          "type=cite\tciting_pub=q\tcited_pub=p1\tciting_authors=b\tciting_institutions=Y"
          "\tciting_indexed=false\tmentions=2"),
     ])
@@ -445,7 +447,8 @@ class TestDocumentedKeyTables:
 
 class TestDocumentedTables:
     """docs/formats.md lists exactly the summary columns and the config keys
-    the parsers accept, with the config defaults they apply."""
+    the parsers accept, with the config defaults they apply and, in the order
+    the rules apply, each rule key's audit rule."""
 
     _DOCS = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
 
@@ -462,6 +465,11 @@ class TestDocumentedTables:
         assert {key for key, _ in rows} == set(ingest._RULE_KEYS) | {"precision"}
         for key, default in rows:
             assert load_config(f"{key}={default}\n") == Config()
+        rules = [line.split("|")[3].strip().strip("`") for line in table.splitlines()[2:]]
+        switches = dataclasses.fields(FilterConfig)
+        assert list(zip((key for key, _ in rows), rules)) == [
+            (f.metadata.get("key", f.name), f.metadata["rule"]) for f in switches
+        ] + [("precision", "")]
 
 
 class TestDuplicateIds:
@@ -885,11 +893,12 @@ def _pub_bundles(draw):
 
 
 def _with_key(line, key, value):
-    """A pub line with ``key=value`` inserted at its place in _PUB_FIELDS order."""
+    """A pub line with ``key=value`` inserted at its place in _PUB_TABLE order."""
     tokens = line.split("\t")
-    rank = ingest._PUB_FIELDS.index(key)
+    order = [name for name, _, _ in ingest._PUB_TABLE]
+    rank = order.index(key)
     at = next((i for i, t in enumerate(tokens[1:], 1)
-               if ingest._PUB_FIELDS.index(t.partition("=")[0]) > rank), len(tokens))
+               if order.index(t.partition("=")[0]) > rank), len(tokens))
     tokens.insert(at, f"{key}={value}")
     return "\t".join(tokens)
 
