@@ -522,14 +522,14 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
     if len(set(columns)) != len(columns):
         raise ParseError([ParseIssue(header_no, "duplicate column in header")])
 
-    # Cell positions: (position, label) for H, DOC and CIT, None for a
-    # missing column; (position, role, label) for each share and FWCI column.
-    at = {name: i for i, name in enumerate(columns)}
-    counts = [(at.get(c), c.upper()) for c in _COUNT_COLUMNS]
-    shares = [(at[c], role, c.upper()) for c, role in _SHARE_COLUMNS.items() if c in at]
-    fwci = [(at[c], role, c.upper()) for c, role in _FWCI_COLUMNS.items() if c in at]
-    author_at, id_at = at["author"], at.get("id")
+    # Each known column's cell position; a column the header lacks reads the
+    # empty cell appended past each row's last.
     width = len(columns)
+    at = {name: i for i, name in enumerate(columns)}
+    author_at, id_at = at["author"], at.get("id", width)
+    counts = [(at.get(c, width), c.upper()) for c in _COUNT_COLUMNS]
+    shares = [(at.get(c, width), role, c.upper()) for c, role in _SHARE_COLUMNS.items()]
+    fwci = [(at.get(c, width), role, c.upper()) for c, role in _FWCI_COLUMNS.items()]
     id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
     for line_no, line in lines:
@@ -539,73 +539,56 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
                 ParseIssue(line_no, f"{len(cells)} cells for {width} columns")
             )
             continue
-        cells += [""] * (width - len(cells))
+        cells += [""] * (width + 1 - len(cells))
+        # A row reports its first problem only. Checks run in a fixed column
+        # order (H, DOC, CIT, shares, FWCI; docs/formats.md lists it in full),
+        # so that problem does not depend on the order of the header.
         try:
-            row = _build_summary_row(cells, author_at, id_at, counts, shares, fwci)
+            name = cells[author_at]
+            if name in _ABSENT:
+                raise ValueError("empty Author cell")
+            author = name if cells[id_at] in _ABSENT else cells[id_at]
+            values = []
+            for i, label in counts:
+                if (cell := cells[i]) in _ABSENT:
+                    values.append(None)
+                elif cell.isascii() and cell.isdigit() and len(cell) < 309:
+                    # Below 10**308: non-negative and at most the largest double.
+                    values.append(int(cell))
+                else:
+                    values.append(_parse_count(cell, label))
+            h, doc, cit = values
+            if doc is not None and doc < 1:
+                raise ValueError("DOC must be at least 1")
+            if h is not None and doc is not None and h > doc:
+                raise ValueError(f"H {h} exceeds DOC {doc}")
+            role_shares: dict[Role, float] = {}
+            for i, role, label in shares:
+                if (cell := cells[i]) not in _ABSENT:
+                    text = cell[:-1].strip() if cell.endswith("%") else cell
+                    percent = float(text.replace(",", "."))
+                    if not 0 <= percent <= 100:
+                        raise ValueError(f"{label} share {cell!r} is outside 0..100%")
+                    role_shares[role] = percent / 100.0
+            role_fwci: dict[Role, float] = {}
+            for i, role, label in fwci:
+                if (cell := cells[i]) not in _ABSENT:
+                    value = float(cell.replace(",", "."))
+                    if value < 0:
+                        raise ValueError(f"{label} must be non-negative")
+                    if not math.isfinite(value):
+                        raise ValueError(f"{label} must be finite, got {cell!r}")
+                    role_fwci[role] = value
+            if id_at < width and (first := id_lines.setdefault(author, line_no)) != line_no:
+                raise ValueError(f"duplicate Id {author!r} (first seen on line {first})")
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
-        if id_at is not None:
-            first = id_lines.setdefault(row.author, line_no)
-            if first != line_no:
-                issues.append(ParseIssue(
-                    line_no, f"duplicate Id {row.author!r} (first seen on line {first})"
-                ))
-        rows.append(row)
+        rows.append(AuthorSummaryRow(author, name, h, doc, cit, role_shares, role_fwci))
 
     if issues:
         raise ParseError(issues)
     return rows
-
-
-def _build_summary_row(cells: list[str], author_at: int, id_at: int | None, counts: Sequence,
-                       shares: Sequence, fwci: Sequence) -> AuthorSummaryRow:
-    """One row from its stripped cells, at the positions parse_author_summaries
-    resolved. Checks run in a fixed column order (H, DOC, CIT, shares, FWCI),
-    so the first problem reported on a row does not depend on the order of
-    the header."""
-    name = cells[author_at]
-    if name in _ABSENT:
-        raise ValueError("empty Author cell")
-    author = name if id_at is None or cells[id_at] in _ABSENT else cells[id_at]
-
-    values = []
-    for at, label in counts:
-        cell = "" if at is None else cells[at]
-        if cell in _ABSENT:
-            values.append(None)
-        elif cell.isascii() and cell.isdigit() and len(cell) < 309:
-            # Below 10**308: non-negative and at most the largest double.
-            values.append(int(cell))
-        else:
-            values.append(_parse_count(cell, label))
-    h, doc, cit = values
-    if doc is not None and doc < 1:
-        raise ValueError("DOC must be at least 1")
-    if h is not None and doc is not None and h > doc:
-        raise ValueError(f"H {h} exceeds DOC {doc}")
-
-    role_shares: dict[Role, float] = {}
-    for at, role, label in shares:
-        cell = cells[at]
-        if cell not in _ABSENT:
-            text = cell[:-1].strip() if cell.endswith("%") else cell
-            percent = float(text.replace(",", "."))
-            if not 0 <= percent <= 100:
-                raise ValueError(f"{label} share {cell!r} is outside 0..100%")
-            role_shares[role] = percent / 100.0
-    role_fwci: dict[Role, float] = {}
-    for at, role, label in fwci:
-        cell = cells[at]
-        if cell not in _ABSENT:
-            value = float(cell.replace(",", "."))
-            if value < 0:
-                raise ValueError(f"{label} must be non-negative")
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {cell!r}")
-            role_fwci[role] = value
-
-    return AuthorSummaryRow(author, name, h, doc, cit, role_shares, role_fwci)
 
 
 # --- config files -----------------------------------------------------------

@@ -662,10 +662,12 @@ def _cell_outcome(parse, *args):
 
 def _reference_row(columns, cells):
     """A summary row read cell by cell as docs/formats.md describes it,
-    with every count cell through ``_parse_count``."""
+    with every count cell through ``_parse_count``; an absent Id reads as
+    the Author."""
     cell = dict(zip(columns, cells))
-    if not cell["author"]:
+    if cell["author"] in ("", "-"):
         raise ValueError("empty Author cell")
+    author = cell["author"] if cell.get("id", "") in ("", "-") else cell["id"]
     h, doc, cit = (
         None if cell.get(c, "") in ("", "-") else ingest._parse_count(cell[c], c.upper())
         for c in ("h", "doc", "cit")
@@ -691,20 +693,22 @@ def _reference_row(columns, cells):
             if not math.isfinite(value):
                 raise ValueError(f"{fwci.upper()} must be finite, got {text!r}")
             role_fwci[role] = value
-    return AuthorSummaryRow(cell["author"], cell["author"], h, doc, cit, shares, role_fwci)
+    return AuthorSummaryRow(author, cell["author"], h, doc, cit, shares, role_fwci)
 
 
 @st.composite
 def _summary_tables(draw):
-    """(columns, rows of cells): Author and any other columns but Id, in any order."""
+    """(columns, rows of cells): Author, maybe Id, and any other columns, in any order."""
     others = ["h", "doc", "cit", *(c for columns in _ROLE_COLUMNS for c in columns[:2])]
-    columns = draw(st.permutations(["author", *draw(st.lists(st.sampled_from(others),
-                                                             unique=True, max_size=6))]))
-    cell = {"author": st.sampled_from(["A", "B c", ""]),
+    ids = draw(st.sampled_from([[], ["id"]]))
+    columns = draw(st.permutations(["author", *ids, *draw(st.lists(st.sampled_from(others),
+                                                                   unique=True, max_size=6))]))
+    cell = {"author": st.sampled_from(["A", "B c", "", "-"]),
+            "id": st.sampled_from(["", "-", "a", "b"]),
             **{c: _COUNT_CELL for c in ("h", "doc", "cit")},
             **{c[0]: _SHARE_CELL for c in _ROLE_COLUMNS},
             **{c[1]: _FWCI_CELL for c in _ROLE_COLUMNS}}
-    rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), max_size=4))
+    rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), max_size=8))
     return columns, rows
 
 
@@ -732,14 +736,19 @@ class TestSummaryRowsCellByCell:
     def test_tables_read_as_the_reference(self, table):
         columns, rows = table
         text = "\n".join("\t".join(cells) for cells in [columns, *rows])
-        expected, issues = [], []
+        expected, issues, id_lines = [], [], {}
         for line_no, cells in enumerate(rows, 2):
             if not "".join(cells).strip():
                 continue  # a blank line
             outcome = _cell_outcome(_reference_row, columns, [c.strip() for c in cells])
             if isinstance(outcome, str):
                 issues.append(ingest.ParseIssue(line_no, outcome))
+            elif "id" in columns and outcome.author in id_lines:
+                first = id_lines[outcome.author]
+                issues.append(ingest.ParseIssue(
+                    line_no, f"duplicate Id {outcome.author!r} (first seen on line {first})"))
             else:
+                id_lines[outcome.author] = line_no
                 expected.append(outcome)
         try:
             assert parse_author_summaries(text) == expected and not issues
