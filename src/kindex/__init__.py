@@ -39,7 +39,6 @@ from .indices import (
 from .ingest import (
     AuthorSummaryRow,
     Config,
-    ConfigError,
     ParseError,
     ParseIssue,
     dump_publications,
@@ -66,7 +65,6 @@ __all__ = [
     "AuthorSummaryRow",
     "CitationRecord",
     "Config",
-    "ConfigError",
     "CorpusBundle",
     "EmptyPortfolioError",
     "FilterAudit",

@@ -33,7 +33,6 @@ from .indices import (
 )
 from .ingest import (
     Config,
-    ConfigError,
     MAX_PRECISION,
     ParseError,
     VALUE_COLUMNS,
@@ -251,9 +250,9 @@ def cmd_yearly(args, filters: FilterConfig, precision: int) -> str:
 def _precision_flag(text: str) -> int:
     """``--precision`` spelled as the config key ``precision`` must be."""
     try:
-        return _parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        return _parse_int("precision", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -339,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         exit_code, messages = 1, [str(issue) for issue in exc.issues]
     except UndefinedCorrelationError as exc:
         exit_code, messages = 1, [f"undefined correlation: {exc}"]
-    except (ConfigError, EmptyPortfolioError, NonFiniteIndexError) as exc:
+    except (EmptyPortfolioError, NonFiniteIndexError) as exc:
         exit_code, messages = 1, [str(exc)]
     else:
         if args.out:

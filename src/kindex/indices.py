@@ -199,7 +199,7 @@ def metrics_from_summary(row: AuthorSummaryRow) -> AuthorMetrics:
     least one per-role FWCI cell; otherwise they stay absent and the
     K-index falls back to its defaults (1 and 0 respectively).
     """
-    if row.doc is None or row.doc < 1:
+    if row.doc is None:
         raise EmptyPortfolioError(f"summary row for {row.author!r} has no publication count")
     if row.cit is None:
         raise EmptyPortfolioError(f"summary row for {row.author!r} has no citation count")

@@ -55,10 +55,6 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-class ConfigError(ValueError):
-    """Bad configuration file."""
-
-
 class _SummaryFields(NamedTuple):
     author: AuthorId
     display_name: str
@@ -131,29 +127,32 @@ def _gc_paused():
             gc.enable()
 
 
-def _parse_bool(value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValueError(f"expected true or false, got {value!r}")
+def _parse_bool(key: str, text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"{key}: expected true or false, got {text!r}")
+    return text == "true"
 
 
-def _parse_int(text: str, too_long: str = "integer is too long") -> int:
+def _parse_int(key: str, text: str, written: str | None = None) -> int:
     """An integer written as ASCII digits with an optional leading ``-``,
-    at most _MAX_DIGITS of them; ``too_long`` is the message for more.
-
-    The other spellings ``int()`` reads (``1_000``, ``+5``, non-ASCII
-    digits) are rejected; short text ``int()`` cannot read keeps its message.
-    """
+    at most _MAX_DIGITS of them. The other spellings ``int()`` reads
+    (``1_000``, ``+5``, non-ASCII digits) are refused; the message quotes
+    ``written``, the cell as the file has it, if given, else ``text``."""
     digits = text[1:] if text.startswith("-") else text
-    if digits.isdigit() and digits.isascii():
-        if len(digits) > _MAX_DIGITS:
-            raise ValueError(too_long)
-        return int(text)
-    if len(text) <= _MAX_DIGITS:
-        int(text)  # raises int()'s own message for text it cannot read
-    raise ValueError(f"{text!r} is not a plain integer")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"{key}: expected an integer, got {written or text!r}")
+    if len(digits) > _MAX_DIGITS:
+        raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
+    return int(text)
+
+
+def _parse_decimal(key: str, text: str, written: str | None = None) -> float:
+    """A decimal as ``float()`` reads it; the message quotes ``written``
+    as _parse_int's does."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected a decimal, got {written or text!r}") from None
 
 
 def _split_list(key: str, value: str) -> list[str]:
@@ -182,19 +181,12 @@ def _parse_fields(line: str) -> dict[str, str]:
     return fields
 
 
-def _check_int(key: str, text: str) -> str:
-    _parse_int(text, f"{key} has more than {_MAX_DIGITS} digits")
-    return text
-
-
-def _check_float(key: str, text: str) -> str:
-    float(text)
-    return text
-
-
-def _check_bool(key: str, text: str) -> str:
-    _parse_bool(text)
-    return text
+def _checked(read: Callable[[str, str], Any]) -> Callable[[str, str], str]:
+    """A _Kind check that reads a value with ``read`` and keeps its text."""
+    def check(key: str, text: str) -> str:
+        read(key, text)
+        return text
+    return check
 
 
 def _check_tier(key: str, text: str) -> str:
@@ -263,10 +255,11 @@ _FLAG = "|".join(sorted(_FLAGS))
 _INSTITUTION = rf"[^\s=,:](?:[^\t=,:]*[^\s=,:])?:{_ITEM}"
 _ID = _Kind(r"[^\s=](?:[^\t=]*[^\s=])?", lambda key, text: text,
             lambda record, key, value: _writable(record, key, value))
-_INT = _Kind(rf"-?[0-9]{{1,{_MAX_DIGITS}}}", _check_int, _write_int)
-_FLOAT = _Kind(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", _check_float,
+_INT = _Kind(rf"-?[0-9]{{1,{_MAX_DIGITS}}}", _checked(_parse_int), _write_int)
+_FLOAT = _Kind(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", _checked(_parse_decimal),
                lambda record, key, value: repr(value))
-_BOOL = _Kind("true|false", _check_bool, lambda record, key, value: "true" if value else "false")
+_BOOL = _Kind("true|false", _checked(_parse_bool),
+              lambda record, key, value: "true" if value else "false")
 _LIST = _Kind(_ITEMS, lambda key, text: ",".join(_split_list(key, text)) or None,
               lambda record, key, value: _writable_items(record, key, value))
 _SET = _LIST._replace(write=lambda record, key, value: _writable_items(record, key, sorted(value)))
@@ -292,9 +285,6 @@ _CITE_TABLE = (
     ("citing_institutions", _SET, _EMPTY), ("citing_indexed", _BOOL, True), ("mentions", _INT, 1),
 )
 _TABLES = {"pub": _PUB_TABLE, "cite": _CITE_TABLE}
-# The keys whose values a pub line checks first, in this order; the others
-# follow in table order. A line with several faults reports the first.
-_PUB_CHECKED_FIRST = ("institutions", "flags", "venue_tier", "fwci")
 
 
 def _serialized(kind: str) -> re.Pattern[str]:
@@ -333,11 +323,10 @@ def _careful_texts(kind: str, fields: dict[str, str]) -> tuple[str | None, ...]:
         raise ValueError(f"unknown field(s) {sorted(fields.keys() - known)} on {kind} record")
     if missing := [key for key, _, default in table if default is _REQUIRED and key not in fields]:
         raise ValueError(f"{kind} record missing required field(s) {missing}")
-    first = _PUB_CHECKED_FIRST if kind == "pub" else ()
-    order = sorted(table, key=lambda row: first.index(row[0]) if row[0] in first else len(first))
-    texts = {key: value.check(key, fields[key]) if key in fields else None
-             for key, value, _ in order}
-    return tuple(texts[key] for key, _, default in table if default is not _CHECKED)
+    # Keys are checked in table order; a line with several faults reports the first.
+    texts = [(value.check(key, fields[key]) if key in fields else None, default)
+             for key, value, default in table]
+    return tuple(text for text, default in texts if default is not _CHECKED)
 
 
 @_gc_paused()
@@ -479,12 +468,15 @@ VALUE_COLUMNS: dict[str, Callable[[AuthorSummaryRow], int | float | None]] = {
 
 
 def _parse_count(cell: str, column: str) -> int:
-    too_large = f"{column} is too large for a float"
-    value = _parse_int(cell.replace(" ", "").replace("\u00a0", ""), too_large)
+    text = cell.replace(" ", "").replace("\u00a0", "")
+    digits = text.removeprefix("-")
+    # More digits than _parse_int reads is past the largest double too.
+    too_long = len(digits) > _MAX_DIGITS and digits.isdigit() and digits.isascii()
+    value = math.inf if too_long else _parse_int(column, text, cell)
     if value < 0:
         raise ValueError(f"{column} must be non-negative, got {value}")
     if value > sys.float_info.max:
-        raise ValueError(too_large)
+        raise ValueError(f"{column} is too large for a float")
     return value
 
 
@@ -514,9 +506,7 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
     issues: list[ParseIssue] = []
     unknown = [c for c in columns if c not in _KNOWN_COLUMNS]
     if unknown:
-        raise ParseError(
-            [ParseIssue(header_no, f"unknown column(s) {unknown}")]
-        )
+        raise ParseError([ParseIssue(header_no, f"unknown column(s) {unknown}")])
     if "author" not in columns:
         raise ParseError([ParseIssue(header_no, "missing Author column")])
     if len(set(columns)) != len(columns):
@@ -535,9 +525,7 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
     for line_no, line in lines:
         cells = list(map(str.strip, line.split(delim)))
         if len(cells) > width:
-            issues.append(
-                ParseIssue(line_no, f"{len(cells)} cells for {width} columns")
-            )
+            issues.append(ParseIssue(line_no, f"{len(cells)} cells for {width} columns"))
             continue
         cells += [""] * (width + 1 - len(cells))
         # A row reports its first problem only. Checks run in a fixed column
@@ -566,14 +554,14 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
             for i, role, label in shares:
                 if (cell := cells[i]) not in _ABSENT:
                     text = cell[:-1].strip() if cell.endswith("%") else cell
-                    percent = float(text.replace(",", "."))
+                    percent = _parse_decimal(label, text.replace(",", "."), cell)
                     if not 0 <= percent <= 100:
                         raise ValueError(f"{label} share {cell!r} is outside 0..100%")
                     role_shares[role] = percent / 100.0
             role_fwci: dict[Role, float] = {}
             for i, role, label in fwci:
                 if (cell := cells[i]) not in _ABSENT:
-                    value = float(cell.replace(",", "."))
+                    value = _parse_decimal(label, cell.replace(",", "."), cell)
                     if value < 0:
                         raise ValueError(f"{label} must be non-negative")
                     if not math.isfinite(value):
@@ -599,36 +587,34 @@ _RULE_KEYS = {f.metadata.get("key", f.name): f.name for f in dataclass_fields(Fi
 def load_config(source: Iterable[str] | str) -> Config:
     """Load ``key=value`` configuration, read from ``source`` as
     parse_publications reads it. Unknown or repeated keys are rejected;
-    omitted keys keep their defaults (every filter rule on, precision 2)."""
+    omitted keys keep their defaults (every filter rule on, precision 2).
+    Raises ParseError carrying every line-numbered problem found."""
     rule_values: dict[str, bool] = {}
     precision = Config.precision
     seen: set[str] = set()
+    issues: list[ParseIssue] = []
     source = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for line_no, raw in enumerate(source, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        seen.add(key)
-        if key in _RULE_KEYS:
-            try:
-                rule_values[_RULE_KEYS[key]] = _parse_bool(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: {key}: {exc}") from None
-        elif key == "precision":
-            try:
-                precision = _parse_int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {line_no}: precision must be an integer, got {value!r}"
-                ) from None
-            if not 0 <= precision <= MAX_PRECISION:
-                raise ConfigError(f"line {line_no}: precision must be in 0..{MAX_PRECISION}")
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        key, sep, value = map(str.strip, line.partition("="))
+        try:
+            if not sep:
+                raise ValueError(f"expected key=value, got {line!r}")
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+            if key in _RULE_KEYS:
+                rule_values[_RULE_KEYS[key]] = _parse_bool(key, value)
+            elif key == "precision":
+                precision = _parse_int(key, value)
+                if not 0 <= precision <= MAX_PRECISION:
+                    raise ValueError(f"precision must be in 0..{MAX_PRECISION}")
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            issues.append(ParseIssue(line_no, str(exc)))
+    if issues:
+        raise ParseError(issues)
     return Config(filters=FilterConfig(**rule_values), precision=precision)

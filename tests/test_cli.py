@@ -16,7 +16,7 @@ import kindex.cli
 from kindex.analytics import RANK_KEYS
 from kindex.cli import FORMATS, _fmt_column, fmt_value, main
 from kindex.ingest import (
-    ConfigError, ParseError, load_config, parse_author_summaries, parse_publications,
+    ParseError, load_config, parse_author_summaries, parse_publications,
 )
 
 from refdata import KRATING
@@ -61,7 +61,7 @@ class TestValidate:
         (["--config", str(DATA / "config_unknown_key.txt")], 1,
          "line 1: unknown key 'bogus_key'"),
         (["--config", str(DATA / "config_bad_precision.txt")], 1,
-         "line 1: precision must be an integer, got 'abc'"),
+         "line 1: precision: expected an integer, got 'abc'"),
     ], ids=["missing-config", "precision-99", "unknown-key", "bad-precision"])
     def test_config_and_precision_are_checked(self, capsys, flags, code, message):
         # Every command rejects the flags, validate too though it prints no
@@ -349,7 +349,7 @@ class TestInputRejections:
         ("type=pub\tpub_id=p1\tyear=2019\tauthors=a\tfwci=inf",
          "line 1: publication 'p1' has non-finite fwci inf"),
         ("type=pub\tpub_id=p1\tyear=2_019\tauthors=a",
-         "line 1: '2_019' is not a plain integer"),
+         "line 1: year: expected an integer, got '2_019'"),
     ])
     def test_corpus(self, tmp_path, capsys, command, line, message):
         path = tmp_path / "corpus.txt"
@@ -359,7 +359,7 @@ class TestInputRejections:
 
     @pytest.mark.parametrize("row,message", [
         ("a\tA\t1\t2\tnan", "line 2: FWCI1 must be finite, got 'nan'"),
-        ("a\tA\t1\t1_000\t0.5", "line 2: '1_000' is not a plain integer"),
+        ("a\tA\t1\t1_000\t0.5", "line 2: CIT: expected an integer, got '1_000'"),
         ("b\tB\t1\t2\t0.5\nb\tC\t1\t2\t0.5", "line 3: duplicate Id 'b' (first seen on line 2)"),
         ("a\tA\t1\t2\t0.5\t7", "line 2: 6 cells for 5 columns"),
     ])
@@ -560,11 +560,12 @@ def _corpus_texts(draw):
 
 
 # Config files: valid lines (the filter switches that let more mentions
-# through, a precision) or arbitrary text.
+# through, a precision), two bad lines that may come together, or
+# arbitrary text.
 _CONFIG = st.none() | st.text() | st.lists(st.sampled_from([
     "dedupe_per_document=false", "one_per_author_per_source=false",
     "exclude_self_citations=false", "exclude_close_associates=false",
-    "precision=0", "precision=12", "precision=13",
+    "precision=0", "precision=12", "precision=13", "exclude_flagged=maybe",
 ]), unique=True).map("\n".join)
 
 # Summary columns and their ordinary cells; a table always has the first six.
@@ -593,9 +594,24 @@ def _summary_inputs(draw):
     return text, draw(axes), draw(axes)
 
 
+def _whole_command_messages() -> re.Pattern[str]:
+    """The messages of docs/formats.md's exit-1 table that name no line,
+    as one pattern; a quoted author id 'A' in them stands for any."""
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    table = text[text.index("Exit 1:"):text.index("Exit 2:")]
+    messages = [message for row in table.splitlines() if row.startswith("| ")
+                for message in re.findall(r"`([^`]+)`", row.split(" | ")[-1])
+                if " " in message and not message.startswith("line N")]
+    return re.compile("|".join(re.escape(message).replace("'A'", ".+") for message in messages))
+
+
 class TestEveryInputEndsInAnExitCode:
     """Any input file fed to any subcommand exits 0, 1 or 2 without raising:
-    on 0 nothing goes to stderr, otherwise nothing goes to stdout."""
+    on 0 nothing goes to stderr, otherwise nothing goes to stdout. On 1 each
+    stderr line names its input line or is a documented whole-command
+    message, and none passes Python's conversion text through."""
+
+    WHOLE_COMMAND = _whole_command_messages()
 
     def check(self, argv):
         code, out, err = _run_quietly(argv)
@@ -604,6 +620,11 @@ class TestEveryInputEndsInAnExitCode:
             assert err == ""
         else:
             assert out == "" and err.endswith("\n")
+        if code == 1:
+            for line in err.splitlines():
+                assert not re.search("invalid literal|could not convert|is not a plain integer",
+                                     line), line
+                assert re.match(r"line \d+: ", line) or self.WHOLE_COMMAND.fullmatch(line), line
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -719,7 +740,7 @@ class TestPrecision:
     def test_other_integer_spellings_exit_2(self, capsys, argv, precision):
         code, out, err = run(capsys, *argv, "--precision", precision)
         assert (code, out) == (2, "")
-        assert err.endswith(f"error: argument --precision: must be an integer, "
+        assert err.endswith(f"error: argument --precision: precision: expected an integer, "
                             f"got {precision!r}\n")
 
     @settings(max_examples=300, deadline=None)
@@ -730,8 +751,8 @@ class TestPrecision:
         try:
             load_config(f"precision={text}\n")
             key_rejects = False
-        except ConfigError as exc:
-            key_rejects = "must be an integer" in str(exc)
+        except ParseError as exc:
+            key_rejects = "expected an integer" in str(exc)
         assert flag_rejects == key_rejects
         # validate checks an accepted spelling's range as every command does.
         in_range = not flag_rejects and 0 <= int(text) <= 12
@@ -1020,7 +1041,7 @@ def _outcome(parse, source):
     input error it raises."""
     try:
         return parse(source)
-    except (ParseError, ConfigError) as exc:
+    except ParseError as exc:
         return type(exc), str(exc)
 
 

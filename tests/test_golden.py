@@ -35,6 +35,8 @@ ERROR_CASES = [
     ["yearly", "corpus_yearly.txt", "--config", "config_bad_precision.txt"],
     ["metrics", "--summary", "summary_no_doc.tsv"],
     ["rank", "--summary", "summary_no_doc.tsv"],
+    ["metrics", "--summary", "summary_no_cit.tsv"],
+    ["rank", "--summary", "summary_no_cit.tsv"],
     ["metrics", "--summary", "summary_huge_fwci.tsv"],
     ["rank", "--summary", "summary_huge_fwci.tsv"],
     ["yearly", "corpus_huge_mentions.txt"],

@@ -332,6 +332,11 @@ class TestMetricsFromSummary:
         with pytest.raises(EmptyPortfolioError):
             metrics_from_summary(row)
 
+    def test_hand_built_row_with_doc_0_rejected(self):
+        # The parser refuses DOC 0; a row built by hand meets cit_per_doc's check.
+        with pytest.raises(EmptyPortfolioError):
+            metrics_from_summary(AuthorSummaryRow("a", "A", doc=0, cit=1))
+
 
 # Field names in constructor order, as the former frozen dataclasses had them.
 SUMMARY_FIELDS = ("author", "display_name", "h_index", "doc", "cit", "shares", "role_fwci")

@@ -14,7 +14,6 @@ from kindex import (
     AuthorSummaryRow,
     CitationRecord,
     Config,
-    ConfigError,
     CorpusBundle,
     FilterConfig,
     ParseError,
@@ -145,20 +144,32 @@ class TestCheckedOnlyKeys:
     @pytest.mark.parametrize("fields,message", [
         ({"venue_tier": "Q9"}, "unknown venue_tier 'Q9'"),
         ({"venue_tier": "q1"}, "unknown venue_tier 'q1'"),
-        ({"indexed": "maybe"}, "expected true or false, got 'maybe'"),
+        ({"indexed": "maybe"}, "indexed: expected true or false, got 'maybe'"),
         # several faults on one line: the first check that fails is reported
-        ({"year": "x1", "indexed": "maybe"}, "invalid literal for int() with base 10: 'x1'"),
+        ({"year": "x1", "indexed": "maybe"}, "year: expected an integer, got 'x1'"),
         ({"venue_tier": "Q9", "fwci": "zz"}, "unknown venue_tier 'Q9'"),
-        ({"authors": "a,a", "indexed": "nope"}, "expected true or false, got 'nope'"),
-        # each pair of neighbours in the check order: institutions, flags,
-        # venue_tier, fwci, year, indexed, alphabetical; a cite's citing_indexed
-        # before its mentions
-        ({"institutions": "a", "flags": "ODD"}, "institution entry 'a' is not author:name"),
-        ({"flags": "ODD", "venue_tier": "Q9"}, "unknown flag 'ODD'"),
-        ({"fwci": "zz", "year": "x1"}, "could not convert string to float: 'zz'"),
-        ({"indexed": "maybe", "alphabetical": "yes"}, "expected true or false, got 'maybe'"),
+        ({"authors": "a,a", "indexed": "nope"}, "indexed: expected true or false, got 'nope'"),
+        # each pair of neighbours in the check order, which is table order:
+        # year, authors, corresponding, venue_tier, fwci, indexed,
+        # alphabetical, flags, institutions; a cite's citing_authors,
+        # citing_institutions, citing_indexed, mentions
+        ({"institutions": "a", "flags": "ODD"}, "unknown flag 'ODD'"),
+        ({"flags": "ODD", "venue_tier": "Q9"}, "unknown venue_tier 'Q9'"),
+        ({"fwci": "zz", "year": "x1"}, "year: expected an integer, got 'x1'"),
+        ({"indexed": "maybe", "alphabetical": "yes"},
+         "indexed: expected true or false, got 'maybe'"),
         ({"type": "cite", "mentions": "x", "citing_indexed": "maybe"},
-         "expected true or false, got 'maybe'"),
+         "citing_indexed: expected true or false, got 'maybe'"),
+        ({"authors": "a,,b", "year": "x1"}, "year: expected an integer, got 'x1'"),
+        ({"corresponding": "a,", "authors": "a,,b"}, "authors has an empty item"),
+        ({"venue_tier": "Q9", "corresponding": "a,"}, "corresponding has an empty item"),
+        ({"indexed": "maybe", "fwci": "zz"}, "fwci: expected a decimal, got 'zz'"),
+        ({"flags": "ODD", "alphabetical": "yes"},
+         "alphabetical: expected true or false, got 'yes'"),
+        ({"type": "cite", "citing_institutions": "x,", "citing_authors": "a,"},
+         "citing_authors has an empty item"),
+        ({"type": "cite", "citing_indexed": "maybe", "citing_institutions": "x,"},
+         "citing_institutions has an empty item"),
     ])
     def test_first_error_on_the_line(self, fields, message):
         with pytest.raises(ParseError) as err:
@@ -279,7 +290,8 @@ class TestNumberRejections:
     def test_non_standard_corpus_integer_rejected(self, prefix, value):
         with pytest.raises(ParseError) as err:
             parse_publications(prefix + value + "\n")
-        assert str(err.value).endswith(f": {value!r} is not a plain integer")
+        key = prefix.rpartition("\t")[2].rstrip("=")
+        assert str(err.value).endswith(f": {key}: expected an integer, got {value!r}")
 
     @pytest.mark.parametrize("column,cell", [
         ("CIT", "1_000"), ("H", "+3"), ("DOC", "1_0"), ("CIT", "\u0661\u0662"),
@@ -289,7 +301,7 @@ class TestNumberRejections:
         text = "Author\tH\tDOC\tCIT\nSomeone\t" + "\t".join(values.values()) + "\n"
         with pytest.raises(ParseError) as err:
             parse_author_summaries(text)
-        assert str(err.value) == f"line 2: {cell!r} is not a plain integer"
+        assert str(err.value) == f"line 2: {column}: expected an integer, got {cell!r}"
 
 
 _LONG = "9" * 5000
@@ -387,7 +399,7 @@ class TestEmptyValues:
         assert [str(issue) for issue in err.value.issues] == [f"line 2: {key} has an empty item"]
 
     @pytest.mark.parametrize("key,message", [
-        ("fwci", "could not convert string to float: ''"),
+        ("fwci", "fwci: expected a decimal, got ''"),
         ("citing_pub", "citation has empty citing_pub"),
     ])
     def test_an_empty_value_is_refused(self, key, message):
@@ -680,14 +692,15 @@ def _reference_row(columns, cells):
     for share, _, role in _ROLE_COLUMNS:
         text = cell.get(share, "")
         if text not in ("", "-"):
-            percent = float((text[:-1].strip() if text.endswith("%") else text).replace(",", "."))
+            percent = ingest._parse_decimal(share.upper(), (
+                text[:-1].strip() if text.endswith("%") else text).replace(",", "."), text)
             if not 0 <= percent <= 100:
                 raise ValueError(f"{share.upper()} share {text!r} is outside 0..100%")
             shares[role] = percent / 100
     for _, fwci, role in _ROLE_COLUMNS:
         text = cell.get(fwci, "")
         if text not in ("", "-"):
-            value = float(text.replace(",", "."))
+            value = ingest._parse_decimal(fwci.upper(), text.replace(",", "."), text)
             if value < 0:
                 raise ValueError(f"{fwci.upper()} must be non-negative")
             if not math.isfinite(value):
@@ -1205,17 +1218,30 @@ class TestLoadConfig:
         assert config.filters.dedupe_per_document
 
     def test_duplicate_key_names_the_key(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ParseError) as err:
             load_config("exclude_flagged=true\nexclude_flagged=false\n")
         assert "exclude_flagged" in str(err.value)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParseError):
             load_config("frobnicate=yes\n")
 
     def test_unparsable_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParseError):
             load_config("exclude_flagged=maybe\n")
+
+    def test_every_problem_is_reported(self):
+        with pytest.raises(ParseError) as err:
+            load_config("precision=x\nexclude_flagged=maybe\n# ok\nbogus\nprecision=3\n"
+                        "foo=1\nprecision=13\n")
+        assert [str(issue) for issue in err.value.issues] == [
+            "line 1: precision: expected an integer, got 'x'",
+            "line 2: exclude_flagged: expected true or false, got 'maybe'",
+            "line 4: expected key=value, got 'bogus'",
+            "line 5: duplicate key 'precision'",
+            "line 6: unknown key 'foo'",
+            "line 7: duplicate key 'precision'",
+        ]
 
     def test_comments_ignored(self):
         config = load_config("# all defaults\nprecision=3  # wide tables\n")
@@ -1223,6 +1249,6 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "3.0", "two", ""])
     def test_precision_is_ascii_digits(self, value):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ParseError) as err:
             load_config(f"precision={value}\n")
-        assert str(err.value) == f"line 1: precision must be an integer, got {value!r}"
+        assert str(err.value) == f"line 1: precision: expected an integer, got {value!r}"
