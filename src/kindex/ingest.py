@@ -458,6 +458,8 @@ _COUNT_COLUMNS = {"h": "h_index", "doc": "doc", "cit": "cit"}  # column -> row f
 _KNOWN_COLUMNS = {"id", "author", *_COUNT_COLUMNS, *_SHARE_COLUMNS, *_FWCI_COLUMNS}
 # Text of an absent cell, after stripping.
 _ABSENT = ("", "-")
+# Longest share/FWCI cell kept per table: short texts repeat; full-precision ones do not.
+_SHORT_CELL = 6
 
 # Each numeric column's value in a parsed row; None for an absent cell.
 VALUE_COLUMNS: dict[str, Callable[[AuthorSummaryRow], int | float | None]] = {
@@ -522,6 +524,9 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
     fwci = [(at.get(c, width), role, c.upper()) for c, role in _FWCI_COLUMNS.items()]
     id_lines: dict[AuthorId, int] = {}
     rows: list[AuthorSummaryRow] = []
+    # The value of each short share or FWCI cell text read without error.
+    share_of: dict[str, float] = {}
+    fwci_of: dict[str, float] = {}
     for line_no, line in lines:
         cells = list(map(str.strip, line.split(delim)))
         if len(cells) > width:
@@ -553,20 +558,30 @@ def parse_author_summaries(source: Iterable[str] | str) -> list[AuthorSummaryRow
             role_shares: dict[Role, float] = {}
             for i, role, label in shares:
                 if (cell := cells[i]) not in _ABSENT:
+                    if (short := len(cell) <= _SHORT_CELL) and cell in share_of:
+                        role_shares[role] = share_of[cell]
+                        continue
                     text = cell[:-1].strip() if cell.endswith("%") else cell
                     percent = _parse_decimal(label, text.replace(",", "."), cell)
                     if not 0 <= percent <= 100:
                         raise ValueError(f"{label} share {cell!r} is outside 0..100%")
                     role_shares[role] = percent / 100.0
+                    if short:
+                        share_of[cell] = role_shares[role]
             role_fwci: dict[Role, float] = {}
             for i, role, label in fwci:
                 if (cell := cells[i]) not in _ABSENT:
+                    if (short := len(cell) <= _SHORT_CELL) and cell in fwci_of:
+                        role_fwci[role] = fwci_of[cell]
+                        continue
                     value = _parse_decimal(label, cell.replace(",", "."), cell)
                     if value < 0:
                         raise ValueError(f"{label} must be non-negative")
                     if not math.isfinite(value):
                         raise ValueError(f"{label} must be finite, got {cell!r}")
                     role_fwci[role] = value
+                    if short:
+                        fwci_of[cell] = value
             if id_at < width and (first := id_lines.setdefault(author, line_no)) != line_no:
                 raise ValueError(f"duplicate Id {author!r} (first seen on line {first})")
         except ValueError as exc:

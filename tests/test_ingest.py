@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import random
 import re
 from collections import Counter
 from operator import attrgetter
@@ -659,8 +660,12 @@ _COUNT_CELL = st.one_of(
         lambda groups: st.sampled_from([" ", "\xa0"]).map(lambda sep: sep.join(groups))),
     st.sampled_from(["1_000", "+3", "-5", "\u0661\u0662", "\u00b2", "-", ""]),
 )
-_SHARE_CELL = st.sampled_from(["9%", " 9 %", "9,5", "101", "nan", "%", "0", "100%", "-", ""])
-_FWCI_CELL = st.sampled_from(["1,5", "-0.1", "nan", "inf", "1e400", "1_0", "0", "2.25", "-", ""])
+# Each pool holds 50 (a share of 0.5 but an FWCI of 50.0), 150 (an FWCI but
+# no share) and a cell on each side of the parser's short-cell length gate.
+_SHARE_CELL = st.sampled_from(["9%", " 9 %", "9,5", "101", "nan", "%", "0", "100%", "-", "",
+                               "50", "150", "33.33%", "33.3333%"])
+_FWCI_CELL = st.sampled_from(["1,5", "-0.1", "nan", "inf", "1e400", "1_0", "0", "2.25", "-", "",
+                              "50", "150", "1.2345", "1.2345678"])
 _ROLE_COLUMNS = (("fa", "fwci1", Role.FA), ("la", "fwci2", Role.LA), ("coa", "fwci3", Role.COA),
                  ("cora", "fwci4", Role.CORA), ("sa", "fwci5", Role.SA))
 
@@ -711,23 +716,79 @@ def _reference_row(columns, cells):
 
 @st.composite
 def _summary_tables(draw):
-    """(columns, rows of cells): Author, maybe Id, and any other columns, in any order."""
+    """(columns, rows of cells): Author, maybe Id, and any other columns, in any order.
+    Share and FWCI cells also draw from a few texts kept for the whole table, so
+    that a text recurs in one column, in other columns and across the two kinds."""
     others = ["h", "doc", "cit", *(c for columns in _ROLE_COLUMNS for c in columns[:2])]
     ids = draw(st.sampled_from([[], ["id"]]))
     columns = draw(st.permutations(["author", *ids, *draw(st.lists(st.sampled_from(others),
                                                                    unique=True, max_size=6))]))
+    repeated = st.sampled_from(draw(st.lists(_SHARE_CELL | _FWCI_CELL, min_size=1, max_size=3)))
     cell = {"author": st.sampled_from(["A", "B c", "", "-"]),
             "id": st.sampled_from(["", "-", "a", "b"]),
             **{c: _COUNT_CELL for c in ("h", "doc", "cit")},
-            **{c[0]: _SHARE_CELL for c in _ROLE_COLUMNS},
-            **{c[1]: _FWCI_CELL for c in _ROLE_COLUMNS}}
+            **{c[0]: _SHARE_CELL | repeated for c in _ROLE_COLUMNS},
+            **{c[1]: _FWCI_CELL | repeated for c in _ROLE_COLUMNS}}
     rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), max_size=8))
     return columns, rows
 
 
 class TestSummaryRowsCellByCell:
     """Counts of plain ASCII digits skip ``_parse_count``; every other cell
-    keeps its message, and whole tables read as the cell-by-cell reference."""
+    keeps its message, and whole tables read as the cell-by-cell reference.
+    A short share or FWCI text is read once per table and kind, so these
+    tests also check that a cell's value and message depend only on its
+    text and column: a bad cell is reported on every row that holds it, a
+    share never takes an FWCI's value or the reverse, and a long cell is
+    read every time."""
+
+    def _issues(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_author_summaries(text)
+        return [str(issue) for issue in exc.value.issues]
+
+    def test_a_repeated_bad_cell_is_reported_on_each_row(self):
+        assert self._issues("Author\tFA\nA\tzz\nB\t9\nC\tzz\n") == [
+            "line 2: FA: expected a decimal, got 'zz'", "line 4: FA: expected a decimal, got 'zz'"]
+
+    def test_signed_zeros_keep_their_sign(self):
+        rows = parse_author_summaries("Author\tFA\tFWCI1\nA\t-0\t-0\nB\t0\t0\nC\t-0\t-0\nD\t0\t0\n")
+        signs = [(math.copysign(1, row.shares[Role.FA]), math.copysign(1, row.role_fwci[Role.FA]))
+                 for row in rows]
+        assert signs == [(-1, -1), (1, 1), (-1, -1), (1, 1)]
+
+    def test_an_fwci_text_read_first_is_still_checked_as_a_share(self):
+        assert self._issues("Author\tFA\tFWCI1\nA\t-\t150\nB\t150\t-\n") == [
+            "line 3: FA share '150' is outside 0..100%"]
+
+    def test_each_short_text_is_read_once_per_kind(self):
+        kind = {"FA": "share", "LA": "share", "FWCI1": "fwci", "FWCI2": "fwci"}
+        good = {"share": ["9", "12.5%", "9,5", "9 %", "50", "0", "33.3333%", "12.345678"],
+                "fwci": ["1.25", "0,8", "50", "150", "2", "1.2345678", "0.98765432"]}
+        bad = [("FA", "zz"), ("LA", "150"), ("FWCI1", "nan"), ("FWCI2", "-1"), ("FA", "x" * 9)]
+        rng = random.Random(0)
+        rows = [dict([bad[i // 20 % len(bad)]]) if i % 20 == 19  # one bad cell, nothing else
+                else {c: rng.choice(good[kind[c]]) for c in kind} for i in range(200)]
+        text = "Author\t" + "\t".join(kind) + "\n" + "".join(
+            "A\t" + "\t".join(row.get(c, "-") for c in kind) + "\n" for row in rows)
+        cells = [(c, cell) for row in rows for c, cell in row.items()]
+        bad_cells = [cell for cell in cells if cell in bad]
+        good_cells = [(kind[c], cell) for c, cell in cells if (c, cell) not in bad]
+        short = {cell for cell in good_cells if len(cell[1]) <= ingest._SHORT_CELL}
+        long_cells = [cell for cell in good_cells if len(cell[1]) > ingest._SHORT_CELL]
+        assert short and long_cells and len(bad_cells) == 10
+
+        calls = []
+        parse_decimal = ingest._parse_decimal
+
+        def counting(key, text, written=None):
+            calls.append(written)
+            return parse_decimal(key, text, written)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_decimal", counting)
+            assert len(self._issues(text)) == 10
+        assert len(calls) == len(short) + len(long_cells) + len(bad_cells)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["H", "CIT"]), _COUNT_CELL)
